@@ -53,22 +53,75 @@ BinMap BuildBins(const FeatureMatrix& rows, int max_bins) {
   return bins;
 }
 
-struct SplitResult {
-  double gain = 0.0;
-  int feature = -1;
-  int bin = -1;  // go left when bin(x) <= bin
-  float threshold = 0.0f;
+// The split search's view of the binned features: one row-major matrix of
+// histogram slot ids, slot[i * n_cols + k] = offset[k] + bin of row i in kept
+// column k. Only columns that can win a split are kept: constant columns
+// (one bin) never can, and neither can a column whose binned bytes and bin
+// count equal an earlier kept column's — it yields the same gains, which
+// never beat a best gain that has already seen them (min_gain >= 0).
+struct SlotMatrix {
+  size_t n_cols = 0;
+  std::vector<uint16_t> slot;
+  std::vector<int> feature;      // kept column k -> feature index
+  std::vector<uint32_t> offset;  // column k owns slots [offset[k], offset[k + 1])
+
+  size_t n_slots() const { return offset.back(); }
+  const uint16_t* row(size_t i) const { return slot.data() + i * n_cols; }
 };
 
-// Builds one tree over pre-binned rows. `binned` is column-major
-// (binned[f * n_rows + i]), so the histogram inner loop reads one contiguous
-// column per feature.
+SlotMatrix BuildSlots(const FeatureMatrix& rows, const BinMap& bins) {
+  size_t n_rows = rows.rows();
+  SlotMatrix slots;
+  slots.offset.push_back(0);
+  std::vector<std::vector<uint8_t>> kept;  // binned bytes per kept column
+  std::vector<uint8_t> column(n_rows);
+  for (size_t f = 0; f < bins.edges.size(); ++f) {
+    size_t n_bins = bins.edges[f].size() + 1;
+    if (n_bins < 2) {
+      continue;
+    }
+    for (size_t i = 0; i < n_rows; ++i) {
+      column[i] = bins.BinOf(static_cast<int>(f), rows.at(i, f));
+    }
+    bool duplicate = false;
+    for (size_t k = 0; k < kept.size() && !duplicate; ++k) {
+      duplicate = slots.offset[k + 1] - slots.offset[k] == n_bins && kept[k] == column;
+    }
+    if (duplicate) {
+      continue;
+    }
+    kept.push_back(column);
+    slots.feature.push_back(static_cast<int>(f));
+    slots.offset.push_back(slots.offset.back() + static_cast<uint32_t>(n_bins));
+  }
+  CHECK_LE(slots.n_slots(), size_t{65536}) << "histogram slot ids are uint16_t";
+  slots.n_cols = kept.size();
+  slots.slot.resize(n_rows * slots.n_cols);
+  for (size_t k = 0; k < slots.n_cols; ++k) {
+    uint32_t first = slots.offset[k];
+    for (size_t i = 0; i < n_rows; ++i) {
+      slots.slot[i * slots.n_cols + k] = static_cast<uint16_t>(first + kept[k][i]);
+    }
+  }
+  return slots;
+}
+
+struct SplitResult {
+  double gain = 0.0;
+  int column = -1;  // kept column of the SlotMatrix
+  int bin = -1;     // go left when bin(x) <= bin
+};
+
+// Builds one tree over the slot matrix. Every (column, bin) histogram sum
+// adds the node's grad/hess values in ascending row order, and columns are
+// scanned in feature order with a strict `>` on the gain, so the trees equal
+// those of a per-feature histogram search bit for bit.
 class TreeBuilder {
  public:
-  TreeBuilder(const std::vector<uint8_t>& binned, size_t n_rows, const BinMap& bins,
+  TreeBuilder(const SlotMatrix& slots, size_t n_rows, const BinMap& bins,
               const std::vector<double>& grad, const std::vector<double>& hess,
               const GbdtParams& params)
-      : binned_(binned), n_rows_(n_rows), bins_(bins), grad_(grad), hess_(hess),
+      : slots_(slots), n_rows_(n_rows), bins_(bins), grad_(grad), hess_(hess),
         params_(params) {}
 
   Tree Build() {
@@ -81,10 +134,6 @@ class TreeBuilder {
   }
 
  private:
-  uint8_t BinAt(size_t feature, int row) const {
-    return binned_[feature * n_rows_ + static_cast<size_t>(row)];
-  }
-
   int BuildNode(const std::vector<int>& rows, int depth) {
     double g = 0.0;
     double h = 0.0;
@@ -102,13 +151,15 @@ class TreeBuilder {
       return node_id;
     }
     SplitResult best = FindBestSplit(rows, g, h);
-    if (best.feature < 0) {
+    if (best.column < 0) {
       return node_id;
     }
+    size_t column = static_cast<size_t>(best.column);
+    uint32_t last_left = slots_.offset[column] + static_cast<uint32_t>(best.bin);
     std::vector<int> left;
     std::vector<int> right;
     for (int i : rows) {
-      if (BinAt(static_cast<size_t>(best.feature), i) <= best.bin) {
+      if (slots_.row(static_cast<size_t>(i))[column] <= last_left) {
         left.push_back(i);
       } else {
         right.push_back(i);
@@ -121,37 +172,54 @@ class TreeBuilder {
     int left_id = BuildNode(left, depth + 1);
     int right_id = BuildNode(right, depth + 1);
     TreeNode& node = tree_.nodes[static_cast<size_t>(node_id)];
-    node.feature = best.feature;
-    node.threshold = best.threshold;
+    node.feature = slots_.feature[column];
+    node.threshold =
+        bins_.edges[static_cast<size_t>(node.feature)][static_cast<size_t>(best.bin)];
     node.left = left_id;
     node.right = right_id;
     return node_id;
   }
 
   SplitResult FindBestSplit(const std::vector<int>& rows, double g_total, double h_total) {
+    // Interleaved (g, h) sums per slot. Each row's grad/hess are loaded once
+    // and added to one slot per column; consecutive adds hit different
+    // slots, so they do not chain through one bin's store and load.
+    hist_.assign(2 * slots_.n_slots(), 0.0);
+    double* hist = hist_.data();
+    size_t n_cols = slots_.n_cols;
+    for (int i : rows) {
+      double g = grad_[static_cast<size_t>(i)];
+      double h = hess_[static_cast<size_t>(i)];
+      const uint16_t* slot = slots_.row(static_cast<size_t>(i));
+      auto add = [hist, g, h](uint16_t s) {
+        double* cell = hist + 2 * static_cast<size_t>(s);
+        cell[0] += g;
+        cell[1] += h;
+      };
+      // Unrolled by four: columns own disjoint slots, so the adds are
+      // independent and their order within a row does not matter.
+      size_t k = 0;
+      for (; k + 4 <= n_cols; k += 4) {
+        add(slot[k]);
+        add(slot[k + 1]);
+        add(slot[k + 2]);
+        add(slot[k + 3]);
+      }
+      for (; k < n_cols; ++k) {
+        add(slot[k]);
+      }
+    }
+
     SplitResult best;
-    size_t dim = bins_.edges.size();
     double parent_score = g_total * g_total / (h_total + params_.lambda);
-    std::vector<double> g_hist;
-    std::vector<double> h_hist;
-    for (size_t f = 0; f < dim; ++f) {
-      size_t n_bins = bins_.edges[f].size() + 1;
-      if (n_bins < 2) {
-        continue;
-      }
-      g_hist.assign(n_bins, 0.0);
-      h_hist.assign(n_bins, 0.0);
-      const uint8_t* col = binned_.data() + f * n_rows_;
-      for (int i : rows) {
-        uint8_t b = col[static_cast<size_t>(i)];
-        g_hist[b] += grad_[static_cast<size_t>(i)];
-        h_hist[b] += hess_[static_cast<size_t>(i)];
-      }
+    for (size_t k = 0; k < n_cols; ++k) {
+      const double* cell = hist + 2 * static_cast<size_t>(slots_.offset[k]);
+      size_t n_bins = slots_.offset[k + 1] - slots_.offset[k];
       double gl = 0.0;
       double hl = 0.0;
       for (size_t b = 0; b + 1 < n_bins; ++b) {
-        gl += g_hist[b];
-        hl += h_hist[b];
+        gl += cell[2 * b];
+        hl += cell[2 * b + 1];
         double gr = g_total - gl;
         double hr = h_total - hl;
         if (hl <= 0.0 || hr <= 0.0) {
@@ -161,21 +229,21 @@ class TreeBuilder {
                       parent_score;
         if (gain > best.gain + params_.min_gain) {
           best.gain = gain;
-          best.feature = static_cast<int>(f);
+          best.column = static_cast<int>(k);
           best.bin = static_cast<int>(b);
-          best.threshold = bins_.edges[f][b];
         }
       }
     }
     return best;
   }
 
-  const std::vector<uint8_t>& binned_;
+  const SlotMatrix& slots_;
   size_t n_rows_;
   const BinMap& bins_;
   const std::vector<double>& grad_;
   const std::vector<double>& hess_;
   const GbdtParams& params_;
+  std::vector<double> hist_;
   Tree tree_;
 };
 
@@ -282,6 +350,9 @@ void Gbdt::Train(const GbdtDataset& data) {
   // Bin indices live in uint8_t: more than 256 bins would wrap silently.
   CHECK_GE(params_.max_bins, 2);
   CHECK_LE(params_.max_bins, 256);
+  // Dropping duplicate columns (BuildSlots) is exact only while the best gain
+  // never decreases.
+  CHECK_GE(params_.min_gain, 0.0);
   trees_.clear();
   forest_ = CompiledForest();
   base_score_ = 0.0;
@@ -293,16 +364,7 @@ void Gbdt::Train(const GbdtDataset& data) {
   CHECK_EQ(data.weights.size(), data.labels.size());
 
   BinMap bins = BuildBins(data.rows, params_.max_bins);
-  // Column-major binned features: the split search reads one feature across
-  // all rows at a time, so columns are the contiguous direction.
-  size_t dim = data.rows.dim();
-  std::vector<uint8_t> binned(dim * n_rows);
-  for (size_t i = 0; i < n_rows; ++i) {
-    const float* row = data.rows.row(i);
-    for (size_t f = 0; f < dim; ++f) {
-      binned[f * n_rows + i] = bins.BinOf(static_cast<int>(f), row[f]);
-    }
-  }
+  SlotMatrix slots = BuildSlots(data.rows, bins);
 
   // Rows per program (for the sum-structured prediction).
   std::vector<std::vector<int>> program_rows(static_cast<size_t>(data.num_programs()));
@@ -332,7 +394,7 @@ void Gbdt::Train(const GbdtDataset& data) {
       grad[i] = 2.0 * wp * residual;
       hess[i] = 2.0 * wp;
     }
-    Tree tree = TreeBuilder(binned, n_rows, bins, grad, hess, params_).Build();
+    Tree tree = TreeBuilder(slots, n_rows, bins, grad, hess, params_).Build();
     // Update program predictions.
     bool useful = false;
     for (int p = 0; p < data.num_programs(); ++p) {

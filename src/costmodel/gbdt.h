@@ -8,6 +8,22 @@
 // matter more. We implement the same objective: per-row gradients derive from
 // the program-level residual, trees use histogram-based greedy splits.
 //
+// Training bins every feature once (per-feature quantile edges, at most
+// max_bins bins). The split search then works on a row-major matrix of
+// histogram slot ids over the *kept* columns only: constant columns are
+// dropped, and so is every column whose binned values and bin count equal an
+// earlier kept column's (such as an exact copy, or a copy scaled by 2). Per
+// node, one pass over the node's rows in ascending order adds each row's
+// gradient and hessian to one (g, h) slot per kept column; the columns are
+// then scanned in feature order. Contract: the trees are bit-identical to a
+// per-feature histogram search over all columns. Each (feature, bin) sum adds
+// the same doubles in the same row order, the gain formula and the strict
+// `gain > best + min_gain` rule are unchanged, and a dropped duplicate's gains
+// can never beat a best gain that has already seen them, because with
+// min_gain >= 0 the running best never decreases (Train() CHECKs
+// min_gain >= 0). Training is single-threaded: a node's histogram is tens of
+// microseconds of work, less than a thread-pool dispatch costs.
+//
 // Inference is served from a CompiledForest: all trees flattened into shared
 // structure-of-arrays storage (feature / threshold / children / value), with
 // leaves rewritten to self-loop so every row walks a tree in exactly its
@@ -38,6 +54,9 @@ struct GbdtParams {
   // corrupt splits. Train() CHECKs this bound.
   int max_bins = 32;
   int min_rows_per_leaf = 4;
+  // Minimum gain improvement for a split. Must be >= 0: duplicate feature
+  // columns are dropped before the split search, which is exact only because
+  // the best gain then never decreases. Train() CHECKs this bound.
   double min_gain = 1e-6;
 };
 
@@ -95,7 +114,9 @@ class Gbdt {
   explicit Gbdt(GbdtParams params = GbdtParams()) : params_(params) {}
 
   // Trains from scratch on the dataset (sum-over-group objective) and
-  // compiles the forest for batch inference.
+  // compiles the forest for batch inference. Histogram slot ids are
+  // uint16_t: the kept columns' bins may total at most 65536 (any dataset of
+  // up to 256 features), else Train() CHECK-fails.
   void Train(const GbdtDataset& data);
 
   bool trained() const { return !trees_.empty(); }

@@ -135,6 +135,136 @@ TEST(Gbdt, MaxBinsOutOfRangeDies) {
   EXPECT_DEATH(Gbdt(params).Train(data), "max_bins");
 }
 
+TEST(Gbdt, NegativeMinGainDies) {
+  // Dropping duplicate feature columns is exact only while the best gain
+  // never decreases, which needs min_gain >= 0.
+  Rng rng(1);
+  GbdtDataset data = MakeSyntheticDataset(10, 1, &rng);
+  GbdtParams params;
+  params.min_gain = -1e-3;
+  EXPECT_DEATH(Gbdt(params).Train(data), "min_gain");
+}
+
+// Fixed training set for the golden test: programs of 1-3 rows with varied
+// weights, two constant columns, an exact copy (3 of 1) and an exact x2 copy
+// (5 of 0) of earlier columns, a two-valued column (8), and columns with more
+// distinct values than max_bins (0, 5, 7), whose quantile edges are data
+// values.
+GbdtDataset MakeGoldenDataset() {
+  Rng rng(2020);
+  GbdtDataset data;
+  for (int p = 0; p < 90; ++p) {
+    int n_rows = 1 + p % 3;
+    double label = 0.0;
+    for (int r = 0; r < n_rows; ++r) {
+      std::vector<float> row(9);
+      row[0] = static_cast<float>(rng.Uniform());
+      row[1] = std::floor(static_cast<float>(rng.Uniform()) * 6.0f);
+      row[2] = 1.0f;
+      row[3] = row[1];
+      row[4] = std::floor(static_cast<float>(rng.Uniform()) * 20.0f) / 20.0f;
+      row[5] = 2.0f * row[0];
+      row[6] = 0.0f;
+      row[7] = static_cast<float>(rng.Uniform());
+      row[8] = rng.Uniform() < 0.3 ? 1.0f : 0.0f;
+      label += 0.5 * row[0] + 0.1 * row[1] - 0.3 * row[4] * row[7] + 0.2 * row[8];
+      data.rows.AppendRow(row);
+      data.group.push_back(p);
+    }
+    data.labels.push_back(label / n_rows);
+    data.weights.push_back(0.1 + rng.Uniform());
+  }
+  return data;
+}
+
+// One feature matrix per program of `data`.
+std::vector<FeatureMatrix> ProgramsOf(const GbdtDataset& data) {
+  std::vector<FeatureMatrix> programs(static_cast<size_t>(data.num_programs()));
+  for (size_t i = 0; i < data.rows.rows(); ++i) {
+    programs[static_cast<size_t>(data.group[i])].AppendRow(data.rows.row(i), data.rows.dim());
+  }
+  return programs;
+}
+
+// The model's binary encoding: params, base score, and every node's
+// feature, threshold, children and value bits.
+std::string EncodedBytes(const Gbdt& model) {
+  ByteWriter w;
+  model.EncodeTo(&w);
+  return w.buffer();
+}
+
+uint64_t HashOf(const std::string& bytes) { return Fnv1a64(bytes.data(), bytes.size()); }
+
+TEST(Gbdt, TrainingIsBitExactGolden) {
+  // Pins the trainer's output bit for bit. Any rewrite of binning or the
+  // split search must reproduce these trees exactly: the search trajectory
+  // of every fixed-seed tuning run depends on them.
+  Gbdt model;
+  model.Train(MakeGoldenDataset());
+  EXPECT_EQ(HashOf(EncodedBytes(model)), 0x42994b48b78c6fa2ULL);
+  ASSERT_EQ(model.trees().size(), 50u);
+  EXPECT_EQ(model.base_score(), 0x1.075c28b3faa3ep-1);
+  const std::vector<TreeNode>& first = model.trees()[0].nodes;
+  ASSERT_EQ(first.size(), 31u);
+  EXPECT_EQ(first[0].feature, 0);
+  EXPECT_EQ(first[0].threshold, 0x1.962a8p-2f);  // quantile edge: a data value
+  EXPECT_EQ(first[1].feature, 1);
+  EXPECT_EQ(first[1].threshold, 0x1.cp+1f);  // midpoint edge
+  EXPECT_EQ(first[9].feature, 8);
+  EXPECT_EQ(first[9].threshold, 0x1p-1f);  // the two-valued column
+  EXPECT_EQ(first[3].value, -0x1.dbc0d7a054b25p-6);
+  EXPECT_EQ(first[7].value, -0x1.1050ed075c585p-2);
+  EXPECT_EQ(model.trees().back().nodes[0].value, 0x1.c288c85a33e9p-15);
+
+  // With min_gain = 0 an empty bin ties with the bin before it; the strict
+  // `gain > best` keeps the first of tied splits.
+  GbdtParams ties;
+  ties.min_gain = 0.0;
+  Gbdt tied(ties);
+  tied.Train(MakeGoldenDataset());
+  EXPECT_EQ(HashOf(EncodedBytes(tied)), 0x643fe2f381f82c36ULL);
+
+  // The cost model's full state after three updates over two tasks.
+  std::vector<FeatureMatrix> programs = ProgramsOf(MakeGoldenDataset());
+  GbdtCostModel cost_model;
+  for (int u = 0; u < 3; ++u) {
+    std::vector<FeatureMatrix> batch(programs.begin() + 30 * u, programs.begin() + 30 * (u + 1));
+    std::vector<double> throughputs;
+    for (size_t p = 0; p < batch.size(); ++p) {
+      throughputs.push_back(1e9 * (1.0 + batch[p].at(0, 0) + 0.25 * batch[p].at(0, 4)));
+    }
+    cost_model.Update(/*task_id=*/u == 1 ? 2 : 1, batch, throughputs);
+  }
+  EXPECT_EQ(HashOf(cost_model.Serialize()), 0xa64c18fcac0e1828ULL);
+}
+
+TEST(Gbdt, DuplicateColumnsNeverChangeTrees) {
+  // A later column whose binned values equal an earlier column's (an exact
+  // copy, or an exact x2 copy) can never win a split: training with it
+  // appended must give the same trees, bit for bit.
+  GbdtDataset base = MakeGoldenDataset();
+  Gbdt reference;
+  reference.Train(base);
+  ASSERT_TRUE(reference.trained());
+  // Column 7 has quantile edges; column 4 has one bin per distinct value.
+  for (size_t source : {size_t{7}, size_t{4}}) {
+    for (float scale : {1.0f, 2.0f}) {
+      GbdtDataset data = base;
+      data.rows = FeatureMatrix();
+      for (size_t i = 0; i < base.rows.rows(); ++i) {
+        std::vector<float> row(base.rows.row(i), base.rows.row(i) + base.rows.dim());
+        row.push_back(scale * row[source]);
+        data.rows.AppendRow(row);
+      }
+      Gbdt model;
+      model.Train(data);
+      EXPECT_EQ(EncodedBytes(model), EncodedBytes(reference))
+          << "source " << source << " scale " << scale;
+    }
+  }
+}
+
 TEST(CostModelTest, GbdtModelRanksAfterUpdate) {
   Rng rng(5);
   GbdtCostModel model;

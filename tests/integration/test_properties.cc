@@ -203,7 +203,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplayDeterminismProperty, ::testing::Range(10, 
 // ---------------------------------------------------------------------------
 // Sweep 5: GPU annotation policy stays sound across shapes.
 
-class GpuSamplingProperty : public ::testing::TestWithParam<ShapeCase> {};
+// Printed by name: gtest's default printer dumps the raw bytes of the case,
+// heap pointer included, and CTest folds that into the test name, so without
+// this the names of this sweep would change from build to build.
+struct GpuShapeCase : ShapeCase {};
+
+void PrintTo(const GpuShapeCase& shape, std::ostream* os) { *os << shape.name; }
+
+class GpuSamplingProperty : public ::testing::TestWithParam<GpuShapeCase> {};
 
 TEST_P(GpuSamplingProperty, GpuProgramsVerifyAndBind) {
   const ShapeCase& shape = GetParam();
@@ -226,13 +233,10 @@ TEST_P(GpuSamplingProperty, GpuProgramsVerifyAndBind) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeGrid, GpuSamplingProperty,
-                         ::testing::Values(ShapeCase{"square16", 16, 16, 16},
-                                           ShapeCase{"square32", 32, 32, 32},
-                                           ShapeCase{"tall", 64, 4, 16},
-                                           ShapeCase{"odd", 12, 20, 8}),
-                         [](const ::testing::TestParamInfo<ShapeCase>& info) {
-                           return info.param.name;
-                         });
+                         ::testing::Values(GpuShapeCase{{"square16", 16, 16, 16}},
+                                           GpuShapeCase{{"square32", 32, 32, 32}},
+                                           GpuShapeCase{{"tall", 64, 4, 16}},
+                                           GpuShapeCase{{"odd", 12, 20, 8}}));
 
 // ---------------------------------------------------------------------------
 // Sweep 6: simulator sanity across machine models — more compute never gets
