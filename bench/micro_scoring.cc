@@ -1,10 +1,7 @@
 // Micro-benchmark for the scoring stack (paper §5.2): feature-extraction
-// throughput over the flat FeatureMatrix path and GBDT statement prediction,
-// with an in-binary A/B of the compiled SoA forest against the scalar
-// tree-walk it replaced. The two paths are bit-identical by construction
-// (pre-scaled leaf values, same accumulation order); the A/B verifies that
-// on every row and reports the speedup. Emits one "BENCH_JSON {...}" line
-// for bench/BENCH_micro_scoring.json.
+// throughput over the flat FeatureMatrix path and GBDT program prediction
+// through GbdtCostModel::PredictBatch. Emits one "BENCH_JSON {...}" line for
+// bench/BENCH_micro_scoring.json.
 #include <chrono>
 
 #include "bench/bench_util.h"
@@ -26,7 +23,7 @@ int Run() {
   auto population = SampleLowerablePopulation(&dag, 16, &init_rng, SamplerOptions(),
                                               SketchOptions(), &cache);
 
-  PrintHeader("micro_scoring: feature extraction + GBDT statement prediction");
+  PrintHeader("micro_scoring: feature extraction + GBDT program prediction");
 
   // --- Feature extraction over pre-lowered programs -------------------------
   std::vector<LoweredProgram> lowered;
@@ -62,78 +59,44 @@ int Run() {
     throughputs.push_back(r.valid ? r.throughput : 0.0);
   }
   model.Update(dag.CanonicalHash(), features, throughputs);
-  const Gbdt& gbdt = model.gbdt();
-  size_t n_trees = gbdt.trees().size();
+  size_t n_trees = model.gbdt().trees().size();
 
-  // --- Scalar vs batched statement prediction A/B ---------------------------
-  // Replicate the population's rows up to a realistic evolution-wave row
-  // count (one Evolve generation scores hundreds of programs in one batch).
-  std::vector<const float*> rows;
-  while (rows.size() < 4096) {
+  // --- Program prediction ---------------------------------------------------
+  // Replicate the population up to a realistic evolution-wave row count (one
+  // Evolve generation scores hundreds of programs in one batch).
+  std::vector<const FeatureMatrix*> programs;
+  size_t rows = 0;
+  while (rows < 4096) {
     for (const FeatureMatrix& m : features) {
-      for (size_t r = 0; r < m.rows(); ++r) {
-        rows.push_back(m.row(r));
-      }
+      programs.push_back(&m);
+      rows += m.rows();
     }
   }
   int predict_repeats = std::max(1, static_cast<int>(240 * Scale()));
-  std::vector<double> scalar_out(rows.size());
-  std::vector<double> batched_out(rows.size());
-
   t0 = std::chrono::steady_clock::now();
   for (int rep = 0; rep < predict_repeats; ++rep) {
-    for (size_t r = 0; r < rows.size(); ++r) {
-      scalar_out[r] = gbdt.PredictRow(rows[r]);
-    }
+    model.PredictBatch(programs);
   }
   t1 = std::chrono::steady_clock::now();
-  double scalar_elapsed = Seconds(t0, t1);
-
-  t0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < predict_repeats; ++rep) {
-    gbdt.PredictStatementRows(rows.data(), rows.size(), batched_out.data());
-  }
-  t1 = std::chrono::steady_clock::now();
-  double batched_elapsed = Seconds(t0, t1);
-
-  size_t mismatches = 0;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (scalar_out[r] != batched_out[r]) {
-      ++mismatches;
-    }
-  }
-  double total_rows =
-      static_cast<double>(rows.size()) * static_cast<double>(predict_repeats);
-  double scalar_rows_per_sec = total_rows / std::max(scalar_elapsed, 1e-12);
-  double batched_rows_per_sec = total_rows / std::max(batched_elapsed, 1e-12);
-  double speedup = scalar_elapsed / std::max(batched_elapsed, 1e-12);
-
-  std::printf("forest: %zu trees; batch of %zu rows x %d repeats\n", n_trees, rows.size(),
-              predict_repeats);
-  std::printf("scalar tree-walk:  %.3f s (%.0f rows/sec)\n", scalar_elapsed,
-              scalar_rows_per_sec);
-  std::printf("batched SoA forest: %.3f s (%.0f rows/sec)\n", batched_elapsed,
-              batched_rows_per_sec);
-  std::printf("speedup: %.2fx   bit-exact mismatches: %zu\n", speedup, mismatches);
-  if (mismatches != 0) {
-    std::printf("ERROR: batched prediction diverged from the scalar path\n");
-    return 1;
-  }
+  double predict_elapsed = Seconds(t0, t1);
+  double predict_rows_per_sec = static_cast<double>(rows) *
+                                static_cast<double>(predict_repeats) /
+                                std::max(predict_elapsed, 1e-12);
+  std::printf("predicted %zu rows (%zu programs, %zu trees) x %d repeats in %.3f s "
+              "(%.0f rows/sec)\n",
+              rows, programs.size(), n_trees, predict_repeats, predict_elapsed,
+              predict_rows_per_sec);
 
   MetricsRegistry registry;
   registry.SetGauge("scoring.extract_rows_per_sec", extract_rows_per_sec, "rows/s");
-  registry.SetGauge("scoring.predict_scalar_rows_per_sec", scalar_rows_per_sec, "rows/s");
-  registry.SetGauge("scoring.predict_batched_rows_per_sec", batched_rows_per_sec,
-                    "rows/s");
+  registry.SetGauge("scoring.predict_rows_per_sec", predict_rows_per_sec, "rows/s");
   cache.ExportMetrics(&registry, "cache");
   measurer.ExportMetrics(&registry, "measurer");
   model.ExportMetrics(&registry, "model");
 
   std::printf("BENCH_JSON {\"bench\":\"micro_scoring\",\"extract_rows_per_sec\":%.1f,"
-              "\"predict_scalar_rows_per_sec\":%.1f,\"predict_batched_rows_per_sec\":%.1f,"
-              "\"predict_speedup\":%.3f,\"bitexact\":%d,\"rows\":%zu,\"trees\":%zu,%s}\n",
-              extract_rows_per_sec, scalar_rows_per_sec, batched_rows_per_sec, speedup,
-              mismatches == 0 ? 1 : 0, rows.size(), n_trees,
+              "\"predict_rows_per_sec\":%.1f,\"rows\":%zu,\"trees\":%zu,%s}\n",
+              extract_rows_per_sec, predict_rows_per_sec, rows, n_trees,
               MetricsBlock(registry).c_str());
   return 0;
 }

@@ -27,14 +27,13 @@ void CostModel::ExportMetrics(MetricsRegistry* registry, const std::string& pref
                      static_cast<double>(programs_predicted()));
 }
 
-std::vector<double> CostModel::PredictBatch(
-    const std::vector<const FeatureMatrix*>& programs) {
-  std::vector<FeatureMatrix> copy;
-  copy.reserve(programs.size());
-  for (const FeatureMatrix* m : programs) {
-    copy.push_back(*m);
+std::vector<double> CostModel::Predict(const std::vector<FeatureMatrix>& program_features) {
+  std::vector<const FeatureMatrix*> programs;
+  programs.reserve(program_features.size());
+  for (const FeatureMatrix& m : program_features) {
+    programs.push_back(&m);
   }
-  return Predict(copy);
+  return PredictBatch(programs);
 }
 
 std::vector<std::vector<double>> CostModel::PredictStatementsBatch(
@@ -170,7 +169,7 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
     return false;
   }
   Gbdt model;
-  if (!model.DecodeFrom(&r)) {
+  if (!model.DecodeFrom(&r, static_cast<int>(FeatureDim()))) {
     return false;
   }
   uint64_t num_samples = r.GetVarint();
@@ -243,110 +242,39 @@ bool GbdtCostModel::LoadFromFile(const std::string& path) {
   return Deserialize(buffer.str());
 }
 
-std::vector<double> GbdtCostModel::Predict(
-    const std::vector<FeatureMatrix>& program_features) {
-  std::vector<const FeatureMatrix*> ptrs;
-  ptrs.reserve(program_features.size());
-  for (const FeatureMatrix& m : program_features) {
-    ptrs.push_back(&m);
-  }
-  return PredictBatch(ptrs);
-}
-
 std::vector<double> GbdtCostModel::PredictBatch(
     const std::vector<const FeatureMatrix*>& programs) {
   CountPredict(static_cast<int64_t>(programs.size()));
-  std::vector<double> scores(programs.size(), 0.0);
-  if (!model_.trained()) {
-    for (size_t p = 0; p < programs.size(); ++p) {
-      if (programs[p]->empty()) {
-        scores[p] = kInvalidScore;  // empty features: failed lowering
-      }
-    }
-    return scores;
-  }
-  // Gather row pointers across every program into one forest pass.
-  std::vector<const float*> rows;
+  std::vector<double> scores;
+  scores.reserve(programs.size());
   for (const FeatureMatrix* m : programs) {
-    for (size_t r = 0; r < m->rows(); ++r) {
-      rows.push_back(m->row(r));
-    }
-  }
-  std::vector<double> row_scores(rows.size());
-  model_.PredictStatementRows(rows.data(), rows.size(), row_scores.data());
-  size_t cursor = 0;
-  for (size_t p = 0; p < programs.size(); ++p) {
-    const FeatureMatrix* m = programs[p];
     if (m->empty()) {
-      scores[p] = kInvalidScore;
+      scores.push_back(kInvalidScore);  // empty features: failed lowering
       continue;
     }
-    // base + s0 + s1 + ... in row order: the same association the scalar
-    // PredictProgram uses, so scores are bit-identical to the unbatched path.
+    // base + s0 + s1 + ... in row order, the association PredictProgram uses.
+    // An untrained model has no trees and a zero base score: it scores 0.
     double score = model_.base_score();
     for (size_t r = 0; r < m->rows(); ++r) {
-      score += row_scores[cursor + r];
+      score += model_.PredictRow(m->row(r));
     }
-    cursor += m->rows();
-    scores[p] = score;
+    scores.push_back(score);
   }
   return scores;
 }
 
 std::vector<double> GbdtCostModel::PredictStatements(const FeatureMatrix& rows) {
   CountPredict(1);
-  std::vector<double> scores(rows.rows(), 0.0);
-  if (!model_.trained() || rows.empty()) {
-    return scores;
-  }
-  std::vector<const float*> ptrs;
-  ptrs.reserve(rows.rows());
-  for (size_t r = 0; r < rows.rows(); ++r) {
-    ptrs.push_back(rows.row(r));
-  }
-  model_.PredictStatementRows(ptrs.data(), ptrs.size(), scores.data());
-  return scores;
-}
-
-std::vector<std::vector<double>> GbdtCostModel::PredictStatementsBatch(
-    const std::vector<const FeatureMatrix*>& programs) {
-  CountPredict(static_cast<int64_t>(programs.size()));
-  std::vector<std::vector<double>> scores(programs.size());
-  std::vector<const float*> rows;
-  for (const FeatureMatrix* m : programs) {
-    for (size_t r = 0; r < m->rows(); ++r) {
-      rows.push_back(m->row(r));
-    }
-  }
-  std::vector<double> row_scores(rows.size(), 0.0);
-  if (model_.trained() && !rows.empty()) {
-    model_.PredictStatementRows(rows.data(), rows.size(), row_scores.data());
-  }
-  size_t cursor = 0;
-  for (size_t p = 0; p < programs.size(); ++p) {
-    size_t n = programs[p]->rows();
-    scores[p].assign(row_scores.begin() + static_cast<ptrdiff_t>(cursor),
-                     row_scores.begin() + static_cast<ptrdiff_t>(cursor + n));
-    cursor += n;
-  }
-  return scores;
-}
-
-std::vector<double> RandomCostModel::Predict(
-    const std::vector<FeatureMatrix>& program_features) {
-  CountPredict(static_cast<int64_t>(program_features.size()));
   std::vector<double> scores;
-  scores.reserve(program_features.size());
-  for (const FeatureMatrix& m : program_features) {
-    scores.push_back(m.empty() ? kInvalidScore : rng_.Uniform());
+  scores.reserve(rows.rows());
+  for (size_t r = 0; r < rows.rows(); ++r) {
+    scores.push_back(model_.PredictRow(rows.row(r)));
   }
   return scores;
 }
 
 std::vector<double> RandomCostModel::PredictBatch(
     const std::vector<const FeatureMatrix*>& programs) {
-  // Same draws as Predict, without the default implementation's deep copy of
-  // feature matrices it would never read.
   CountPredict(static_cast<int64_t>(programs.size()));
   std::vector<double> scores;
   scores.reserve(programs.size());

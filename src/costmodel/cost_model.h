@@ -6,8 +6,10 @@
 // tasks and retrains on every update.
 //
 // All entry points speak FeatureMatrix — the flat row-major features cached
-// on ProgramArtifacts — so batch prediction walks borrowed row pointers
-// straight into the compiled GBDT forest without copying a float.
+// on ProgramArtifacts. A model implements program scoring once, in
+// PredictBatch over borrowed matrices, and statement scoring once, in
+// PredictStatements; Predict and PredictStatementsBatch are base-class
+// defaults built on those two, so no feature is copied to be scored.
 #ifndef ANSOR_SRC_COSTMODEL_COST_MODEL_H_
 #define ANSOR_SRC_COSTMODEL_COST_MODEL_H_
 
@@ -60,15 +62,16 @@ class CostModel {
   virtual void Update(uint64_t task_id, const std::vector<FeatureMatrix>& program_features,
                       const std::vector<double>& throughputs) = 0;
 
-  // Predicted fitness per program (higher is better). Scores are comparable
-  // within one task; programs with empty features score kInvalidScore.
-  virtual std::vector<double> Predict(const std::vector<FeatureMatrix>& program_features) = 0;
+  // Predicted fitness per program (higher is better), over borrowed feature
+  // matrices: the evolution hot path scores a population without copying
+  // features out of cached ProgramArtifacts. Entries are non-null. Scores are
+  // comparable within one task; programs with empty features score
+  // kInvalidScore.
+  virtual std::vector<double> PredictBatch(const std::vector<const FeatureMatrix*>& programs) = 0;
 
-  // Predict over borrowed feature matrices: the evolution hot path scores a
-  // population without copying features out of cached ProgramArtifacts.
-  // Entries are non-null. The default implementation materializes a copy and
-  // calls Predict; GbdtCostModel overrides it copy-free.
-  virtual std::vector<double> PredictBatch(const std::vector<const FeatureMatrix*>& programs);
+  // PredictBatch over owned matrices. The default gathers pointers and calls
+  // PredictBatch.
+  virtual std::vector<double> Predict(const std::vector<FeatureMatrix>& program_features);
 
   // Per-statement scores for one program (used by node-based crossover to
   // score the rewriting steps of individual DAG nodes). Implementations must
@@ -125,12 +128,9 @@ class GbdtCostModel : public CostModel {
 
   void Update(uint64_t task_id, const std::vector<FeatureMatrix>& program_features,
               const std::vector<double>& throughputs) override;
-  std::vector<double> Predict(const std::vector<FeatureMatrix>& program_features) override;
   std::vector<double> PredictBatch(
       const std::vector<const FeatureMatrix*>& programs) override;
   std::vector<double> PredictStatements(const FeatureMatrix& rows) override;
-  std::vector<std::vector<double>> PredictStatementsBatch(
-      const std::vector<const FeatureMatrix*>& programs) override;
 
   size_t num_samples() const { return labels_raw_.size(); }
   // The trained model (bench / introspection).
@@ -172,7 +172,7 @@ class GbdtCostModel : public CostModel {
 };
 
 // A model returning uniform random scores: the exploration floor used by
-// tests and the "random" ablations. Predict draws from a seeded stream;
+// tests and the "random" ablations. PredictBatch draws from a seeded stream;
 // PredictStatements is stateless (scores derive from hashing the row
 // contents with the seed) so that statement-score memoization in the
 // ProgramCache cannot perturb later predictions through the stream.
@@ -182,7 +182,6 @@ class RandomCostModel : public CostModel {
 
   void Update(uint64_t, const std::vector<FeatureMatrix>&,
               const std::vector<double>&) override {}
-  std::vector<double> Predict(const std::vector<FeatureMatrix>& program_features) override;
   std::vector<double> PredictBatch(
       const std::vector<const FeatureMatrix*>& programs) override;
   std::vector<double> PredictStatements(const FeatureMatrix& rows) override;

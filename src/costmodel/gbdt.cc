@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/store/bytes.h"
 #include "src/support/logging.h"
@@ -247,14 +248,6 @@ class TreeBuilder {
   Tree tree_;
 };
 
-int TreeDepth(const Tree& tree, int node) {
-  const TreeNode& n = tree.nodes[static_cast<size_t>(node)];
-  if (n.feature < 0) {
-    return 0;
-  }
-  return 1 + std::max(TreeDepth(tree, n.left), TreeDepth(tree, n.right));
-}
-
 }  // namespace
 
 double Tree::PredictRow(const float* row) const {
@@ -271,81 +264,6 @@ double Tree::PredictRow(const float* row) const {
   }
 }
 
-void CompiledForest::Compile(const std::vector<Tree>& trees, double learning_rate) {
-  feature_.clear();
-  threshold_.clear();
-  left_.clear();
-  right_.clear();
-  value_.clear();
-  roots_.clear();
-  depth_.clear();
-  for (const Tree& tree : trees) {
-    if (tree.nodes.empty()) {
-      continue;  // contributes exactly 0.0, same as the scalar path
-    }
-    int32_t base = static_cast<int32_t>(feature_.size());
-    roots_.push_back(base);
-    depth_.push_back(TreeDepth(tree, 0));
-    for (size_t i = 0; i < tree.nodes.size(); ++i) {
-      const TreeNode& n = tree.nodes[i];
-      int32_t self = base + static_cast<int32_t>(i);
-      if (n.feature < 0) {
-        // Self-looping leaf: the traversal loop can run a fixed number of
-        // steps without testing for leaves — extra steps stay put.
-        feature_.push_back(0);
-        threshold_.push_back(0.0f);
-        left_.push_back(self);
-        right_.push_back(self);
-      } else {
-        feature_.push_back(n.feature);
-        threshold_.push_back(n.threshold);
-        left_.push_back(base + n.left);
-        right_.push_back(base + n.right);
-      }
-      // Same double product as the scalar path computes per prediction.
-      value_.push_back(learning_rate * n.value);
-    }
-  }
-}
-
-void CompiledForest::PredictRows(const float* const* rows, size_t n, double* out) const {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = 0.0;
-  }
-  if (roots_.empty()) {
-    return;
-  }
-  const int32_t* feature = feature_.data();
-  const float* threshold = threshold_.data();
-  const int32_t* left = left_.data();
-  const int32_t* right = right_.data();
-  const double* value = value_.data();
-  constexpr size_t kBlock = 32;
-  int32_t idx[kBlock];
-  for (size_t start = 0; start < n; start += kBlock) {
-    size_t count = std::min(kBlock, n - start);
-    const float* const* block = rows + start;
-    for (size_t t = 0; t < roots_.size(); ++t) {
-      int32_t root = roots_[t];
-      int32_t steps = depth_[t];
-      for (size_t k = 0; k < count; ++k) {
-        idx[k] = root;
-      }
-      for (int32_t s = 0; s < steps; ++s) {
-        for (size_t k = 0; k < count; ++k) {
-          int32_t i = idx[k];
-          // NaN compares false, taking the right child — identical to the
-          // scalar traversal.
-          idx[k] = block[k][feature[i]] <= threshold[i] ? left[i] : right[i];
-        }
-      }
-      for (size_t k = 0; k < count; ++k) {
-        out[start + k] += value[idx[k]];
-      }
-    }
-  }
-}
-
 void Gbdt::Train(const GbdtDataset& data) {
   // Bin indices live in uint8_t: more than 256 bins would wrap silently.
   CHECK_GE(params_.max_bins, 2);
@@ -354,7 +272,6 @@ void Gbdt::Train(const GbdtDataset& data) {
   // never decreases.
   CHECK_GE(params_.min_gain, 0.0);
   trees_.clear();
-  forest_ = CompiledForest();
   base_score_ = 0.0;
   size_t n_rows = data.rows.rows();
   if (n_rows == 0 || data.num_programs() == 0) {
@@ -412,7 +329,6 @@ void Gbdt::Train(const GbdtDataset& data) {
       break;  // converged: the tree is a stump predicting zero
     }
   }
-  forest_.Compile(trees_, params_.learning_rate);
 }
 
 double Gbdt::PredictRow(const float* row) const {
@@ -421,10 +337,6 @@ double Gbdt::PredictRow(const float* row) const {
     score += params_.learning_rate * tree.PredictRow(row);
   }
   return score;
-}
-
-void Gbdt::PredictStatementRows(const float* const* rows, size_t n, double* out) const {
-  forest_.PredictRows(rows, n, out);
 }
 
 double Gbdt::PredictProgram(const std::vector<std::vector<float>>& rows) const {
@@ -464,7 +376,7 @@ void Gbdt::EncodeTo(ByteWriter* w) const {
   }
 }
 
-bool Gbdt::DecodeFrom(ByteReader* r) {
+bool Gbdt::DecodeFrom(ByteReader* r, int num_features) {
   GbdtParams params;
   params.num_trees = static_cast<int>(r->GetZigzag());
   params.max_depth = static_cast<int>(r->GetZigzag());
@@ -488,21 +400,24 @@ bool Gbdt::DecodeFrom(ByteReader* r) {
       return false;
     }
     tree.nodes.resize(num_nodes);
-    for (TreeNode& node : tree.nodes) {
+    int n = static_cast<int>(num_nodes);
+    for (int i = 0; i < n; ++i) {
+      TreeNode& node = tree.nodes[static_cast<size_t>(i)];
       node.feature = static_cast<int>(r->GetZigzag());
       node.threshold = r->GetF32();
       node.left = static_cast<int>(r->GetZigzag());
       node.right = static_cast<int>(r->GetZigzag());
       node.value = r->GetF64();
-      if (!r->ok() || node.feature < -1 || !std::isfinite(node.value)) {
+      if (!r->ok() || node.feature < -1 || node.feature >= num_features ||
+          !std::isfinite(node.value)) {
         r->Fail();
         return false;
       }
-      // Internal nodes must reference in-range children (leaves carry -1/-1);
-      // an out-of-range child would send inference walking wild memory.
+      // Internal nodes must reference children after themselves (leaves
+      // carry -1/-1): an out-of-range child would send inference walking
+      // wild memory, and a backward one would loop it forever.
       bool is_leaf = node.feature == -1;
-      int n = static_cast<int>(num_nodes);
-      if (!is_leaf && (node.left < 0 || node.left >= n || node.right < 0 || node.right >= n)) {
+      if (!is_leaf && (node.left <= i || node.left >= n || node.right <= i || node.right >= n)) {
         r->Fail();
         return false;
       }
@@ -511,7 +426,6 @@ bool Gbdt::DecodeFrom(ByteReader* r) {
   params_ = params;
   base_score_ = base_score;
   trees_ = std::move(trees);
-  forest_.Compile(trees_, params_.learning_rate);
   return true;
 }
 

@@ -84,6 +84,10 @@ class Histogram {
   mutable std::mutex minmax_mu_;  // min/max update slow path only
 };
 
+// `s` as a quoted JSON string literal: quotes, backslashes and every control
+// byte below 0x20 are escaped. Shared by the metrics and trace writers.
+std::string JsonString(const std::string& s);
+
 // One flattened metric reading (the bench BENCH_JSON block schema).
 struct MetricSample {
   std::string name;

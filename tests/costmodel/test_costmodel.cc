@@ -102,28 +102,6 @@ TEST(Gbdt, WeightedLossPrioritizesFastPrograms) {
   EXPECT_GT(model.PredictProgram({hi}), model.PredictProgram({lo}));
 }
 
-TEST(Gbdt, BatchedForestMatchesScalarBitExact) {
-  // The compiled SoA forest must reproduce the scalar per-row tree walk bit
-  // for bit: leaf values are pre-scaled by the same double product and
-  // accumulated in the same tree order, so EXPECT_EQ (not NEAR) is correct.
-  Rng rng(7);
-  GbdtDataset train = MakeSyntheticDataset(120, 3, &rng);
-  Gbdt model;
-  model.Train(train);
-  ASSERT_TRUE(model.trained());
-
-  GbdtDataset test = MakeSyntheticDataset(50, 3, &rng);
-  std::vector<const float*> ptrs;
-  for (size_t r = 0; r < test.rows.rows(); ++r) {
-    ptrs.push_back(test.rows.row(r));
-  }
-  std::vector<double> batched(ptrs.size());
-  model.PredictStatementRows(ptrs.data(), ptrs.size(), batched.data());
-  for (size_t r = 0; r < ptrs.size(); ++r) {
-    EXPECT_EQ(batched[r], model.PredictRow(ptrs[r])) << "row " << r;
-  }
-}
-
 TEST(Gbdt, MaxBinsOutOfRangeDies) {
   // Bin indices are uint8_t; max_bins outside [2, 256] would silently wrap.
   Rng rng(1);
@@ -196,6 +174,10 @@ std::string EncodedBytes(const Gbdt& model) {
 
 uint64_t HashOf(const std::string& bytes) { return Fnv1a64(bytes.data(), bytes.size()); }
 
+uint64_t HashOf(const std::vector<double>& scores) {
+  return Fnv1a64(reinterpret_cast<const char*>(scores.data()), scores.size() * sizeof(double));
+}
+
 TEST(Gbdt, TrainingIsBitExactGolden) {
   // Pins the trainer's output bit for bit. Any rewrite of binning or the
   // split search must reproduce these trees exactly: the search trajectory
@@ -237,6 +219,37 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
     cost_model.Update(/*task_id=*/u == 1 ? 2 : 1, batch, throughputs);
   }
   EXPECT_EQ(HashOf(cost_model.Serialize()), 0xa64c18fcac0e1828ULL);
+
+  // Every prediction entry point's raw score bytes on that model, plus the
+  // random model's draw order and both models' prediction counters. The
+  // failed lowering sits mid-batch: a random draw spent on it would shift
+  // every later random score.
+  programs.insert(programs.begin() + 45, FeatureMatrix());
+  std::vector<const FeatureMatrix*> ptrs;
+  for (const FeatureMatrix& m : programs) {
+    ptrs.push_back(&m);
+  }
+
+  std::vector<double> scores = cost_model.PredictBatch(ptrs);
+  ASSERT_EQ(scores.size(), 91u);
+  EXPECT_EQ(scores[45], CostModel::kInvalidScore);
+  EXPECT_EQ(HashOf(scores), 0x1d0826004c921507ULL);
+
+  std::vector<double> statement_scores;
+  std::vector<std::vector<double>> per_program = cost_model.PredictStatementsBatch(ptrs);
+  ASSERT_EQ(per_program.size(), 91u);
+  for (size_t p = 0; p < per_program.size(); ++p) {
+    ASSERT_EQ(per_program[p].size(), programs[p].rows()) << "program " << p;
+    statement_scores.insert(statement_scores.end(), per_program[p].begin(), per_program[p].end());
+  }
+  EXPECT_EQ(HashOf(statement_scores), 0x7f6bc049b86e9359ULL);
+  EXPECT_EQ(cost_model.programs_predicted(), 182);
+
+  RandomCostModel random(7);
+  std::vector<double> random_scores = random.Predict(programs);
+  EXPECT_EQ(random_scores[45], CostModel::kInvalidScore);
+  EXPECT_EQ(HashOf(random_scores), 0x96b5a027ecc4c552ULL);
+  EXPECT_EQ(random.programs_predicted(), 91);
 }
 
 TEST(Gbdt, DuplicateColumnsNeverChangeTrees) {
@@ -323,9 +336,9 @@ TEST(CostModelTest, NormalizationAcrossTasks) {
 }
 
 TEST(CostModelTest, BatchedPredictionsMatchUnbatched) {
-  // PredictBatch gathers rows from every program into one forest pass; the
-  // per-program sums must equal the one-at-a-time path bit for bit (the
-  // determinism matrix depends on batched == unbatched).
+  // A program's score must not depend on the batch it is scored in: the
+  // batched sums equal the one-at-a-time path bit for bit (the determinism
+  // matrix depends on batched == unbatched).
   Rng rng(21);
   GbdtCostModel model;
   std::vector<FeatureMatrix> programs;
@@ -429,7 +442,7 @@ TEST(Gbdt, BinaryCodecRoundTripsBitExact) {
   std::string bytes = w.buffer();
   ByteReader r(bytes);
   Gbdt decoded;
-  ASSERT_TRUE(decoded.DecodeFrom(&r));
+  ASSERT_TRUE(decoded.DecodeFrom(&r, /*num_features=*/8));
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(decoded.trees().size(), model.trees().size());
   EXPECT_EQ(decoded.base_score(), model.base_score());
@@ -453,8 +466,42 @@ TEST(Gbdt, CorruptedCodecInputRejected) {
   for (size_t cut = 0; cut < bytes.size(); cut += 13) {
     ByteReader r(bytes.data(), cut);
     Gbdt decoded;
-    EXPECT_FALSE(decoded.DecodeFrom(&r)) << "cut=" << cut;  // must not crash
+    EXPECT_FALSE(decoded.DecodeFrom(&r, 8)) << "cut=" << cut;  // must not crash
   }
+
+  // Hand-built one-tree models over 8-feature rows: a root splitting on
+  // feature 0 with two leaves decodes, and each single defect is rejected.
+  auto decodes = [](const std::vector<TreeNode>& nodes) {
+    std::string bytes = EncodedBytes(Gbdt());
+    bytes.pop_back();  // the empty model's tree count, 0
+    ByteWriter w;
+    w.PutVarint(1);
+    w.PutVarint(nodes.size());
+    for (const TreeNode& node : nodes) {
+      w.PutZigzag(node.feature);
+      w.PutF32(node.threshold);
+      w.PutZigzag(node.left);
+      w.PutZigzag(node.right);
+      w.PutF64(node.value);
+    }
+    bytes += w.buffer();
+    ByteReader r(bytes);
+    return Gbdt().DecodeFrom(&r, 8);
+  };
+  TreeNode leaf;
+  auto split = [](int feature, int left, int right) {
+    TreeNode node;
+    node.feature = feature;
+    node.threshold = 0.5f;
+    node.left = left;
+    node.right = right;
+    return node;
+  };
+  EXPECT_TRUE(decodes({split(0, 1, 2), leaf, leaf}));
+  EXPECT_FALSE(decodes({split(0, 0, 1), leaf}));  // left child is the node itself
+  EXPECT_FALSE(decodes({split(0, 1, 2), split(0, 0, 2), leaf}));  // child before the node
+  EXPECT_FALSE(decodes({split(8, 1, 2), leaf, leaf}));  // feature past the row
+  EXPECT_FALSE(decodes({split(1 << 20, 1, 2), leaf, leaf}));
 }
 
 TEST(CostModelTest, SaveLoadContinuesTrainingExactly) {
@@ -492,6 +539,21 @@ TEST(CostModelTest, SaveLoadContinuesTrainingExactly) {
   GbdtCostModel garbage;
   EXPECT_FALSE(garbage.Deserialize("not a model file"));
   EXPECT_FALSE(garbage.Deserialize(std::string()));
+
+  // A model whose trees split on a feature past FeatureDim() would read past
+  // every extracted row: its bytes are refused.
+  GbdtCostModel wide;
+  std::vector<FeatureMatrix> wide_programs;
+  std::vector<double> wide_throughputs;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<float> row(FeatureDim() + 1, 0.0f);
+    row.back() = static_cast<float>(rng.Uniform());
+    wide_programs.push_back(OneRowProgram(row));
+    wide_throughputs.push_back(1e9 * (0.1 + row.back()));
+  }
+  wide.Update(9, wide_programs, wide_throughputs);
+  ASSERT_EQ(wide.gbdt().trees()[0].nodes[0].feature, static_cast<int>(FeatureDim()));
+  EXPECT_FALSE(garbage.Deserialize(wide.Serialize()));
 }
 
 TEST(CostModelTest, TrainFromStoreMatchesLiveUpdates) {
