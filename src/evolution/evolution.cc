@@ -1,6 +1,7 @@
 #include "src/evolution/evolution.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -473,18 +474,26 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
   }
   const ProgramCacheStats cache_before = cache->stats();
 
-  std::vector<State> population;
+  // Shared immutable handles (lifetime contract in evolution.h): init's
+  // states are copied in once; every later State is built by a pool worker.
+  using StatePtr = std::shared_ptr<const State>;
+  std::vector<StatePtr> population;
   for (const State& s : init) {
     if (!s.failed()) {
-      population.push_back(s);
+      population.push_back(std::make_shared<const State>(s));
     }
   }
   if (population.empty()) {
     return {};
   }
 
-  // Best-so-far heap across all generations, deduplicated.
-  std::vector<std::pair<double, State>> best;
+  // Best-so-far set across all generations, deduplicated on the artifacts'
+  // step signatures (the ProgramCache's content address for each state).
+  struct Entry {
+    StatePtr state;
+    ProgramArtifactPtr artifact;
+  };
+  std::vector<std::pair<double, Entry>> best;
   std::unordered_set<std::string> best_sigs;
 
   for (int gen = 0; gen <= options_.generations; ++gen) {
@@ -502,7 +511,7 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
     gen_span.Arg("count", static_cast<int64_t>(pop));
     std::vector<ProgramArtifactPtr> artifacts(pop);
     pool.ParallelFor(pop, [&](size_t i) {
-      artifacts[i] = cache->GetOrBuild(population[i], options_.cache_client_id, gen_ptr);
+      artifacts[i] = cache->GetOrBuild(*population[i], options_.cache_client_id, gen_ptr);
     });
     std::vector<const FeatureMatrix*> feature_ptrs(pop);
     for (size_t i = 0; i < pop; ++i) {
@@ -535,14 +544,14 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
         continue;
       }
       if (best_sigs.insert(artifacts[i]->signature()).second) {
-        best.emplace_back(scores[i], population[i]);
+        best.emplace_back(scores[i], Entry{population[i], artifacts[i]});
       }
     }
     std::sort(best.begin(), best.end(),
               [](const auto& x, const auto& y) { return x.first > y.first; });
     if (best.size() > static_cast<size_t>(2 * num_out)) {
       for (size_t i = static_cast<size_t>(2 * num_out); i < best.size(); ++i) {
-        best_sigs.erase(StepSignature(best[i].second));
+        best_sigs.erase(best[i].second.artifact->signature());
       }
       best.resize(static_cast<size_t>(2 * num_out));
     }
@@ -584,7 +593,7 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       size_t pa = 0;
       size_t pb = 0;
     };
-    std::vector<State> next;
+    std::vector<StatePtr> next;
     next.reserve(static_cast<size_t>(options_.population));
     int attempts = 0;
     int max_attempts = options_.population * 8;
@@ -601,7 +610,7 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
         slot.pa = slot.rng.WeightedIndex(weights);
         if (slot.crossover) {
           slot.pb = slot.rng.WeightedIndex(weights);
-          slot.dead = !SkeletonsMatch(population[slot.pa], population[slot.pb]);
+          slot.dead = !SkeletonsMatch(*population[slot.pa], *population[slot.pb]);
           if (!slot.dead) {
             score_cache.Request(slot.pa);
             score_cache.Request(slot.pb);
@@ -612,7 +621,8 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
         TraceSpan flush(gen_ptr, "model_predict", "costmodel");
         score_cache.Flush();
       }
-      std::vector<State> children(wave, State());
+      // A null handle marks a discarded slot (dead or failed child).
+      std::vector<StatePtr> children(wave);
       // Invariant mode: every accepted child is verified at construction
       // site, in the wave that produced it. A lowerable-but-illegal child
       // means a schedule primitive or operator built a broken state — worth a
@@ -622,17 +632,20 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       pool.ParallelFor(wave, [&](size_t s) {
         Slot& slot = slots[s];
         if (slot.dead) {
-          children[s] = State::Failure(dag_, "crossover skeleton mismatch");
-        } else if (slot.crossover) {
-          children[s] = Crossover(population[slot.pa], population[slot.pb],
-                                  score_cache.Get(slot.pa), score_cache.Get(slot.pb),
-                                  &slot.rng);
-        } else {
-          children[s] = RandomMutation(population[slot.pa], &slot.rng);
+          return;
         }
-        if (verify_level >= 2 && !children[s].failed()) {
+        State child = slot.crossover
+                          ? Crossover(*population[slot.pa], *population[slot.pb],
+                                      score_cache.Get(slot.pa), score_cache.Get(slot.pb),
+                                      &slot.rng)
+                          : RandomMutation(*population[slot.pa], &slot.rng);
+        if (child.failed()) {
+          return;
+        }
+        children[s] = std::make_shared<const State>(std::move(child));
+        if (verify_level >= 2) {
           ProgramArtifactPtr artifact =
-              cache->GetOrBuild(children[s], options_.cache_client_id, gen_ptr);
+              cache->GetOrBuild(*children[s], options_.cache_client_id, gen_ptr);
           if (!artifact->statically_legal()) {
             wave_rejected[s] = 1;
             if (artifact->ok()) {
@@ -653,7 +666,7 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
           }
           continue;
         }
-        if (!children[s].failed() &&
+        if (children[s] != nullptr &&
             static_cast<int>(next.size()) < options_.population) {
           next.push_back(std::move(children[s]));
           ++stats_.children_generated;
@@ -673,12 +686,13 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
   stats_.program_cache_misses = cache_after.misses - cache_before.misses;
   stats_.program_cache_evictions = cache_after.evictions - cache_before.evictions;
 
+  // The only State copies made after init: handles never escape Evolve.
   std::vector<State> out;
-  for (const auto& [score, state] : best) {
+  for (const auto& [score, entry] : best) {
     if (static_cast<int>(out.size()) >= num_out) {
       break;
     }
-    out.push_back(state);
+    out.push_back(*entry.state);
   }
   return out;
 }

@@ -23,14 +23,37 @@
 //      (lowered + feature-extracted once per distinct program, served from
 //      the task-lifetime ProgramCache thereafter) and scored with one
 //      batched CostModel::PredictBatch call;
-//   2. child generation runs on a thread pool in waves, each slot drawing
+//   2. the admissible members join the best-so-far set, deduplicated on
+//      their artifacts' ProgramArtifact::signature() (the StepSignature the
+//      cache derived its key from), so the calling thread neither copies nor
+//      re-signs a State to keep or trim it;
+//   3. child generation runs on a thread pool in waves, each slot drawing
 //      from its own deterministically forked RNG stream, so results are
 //      bit-identical across thread counts for a fixed seed;
-//   3. crossover reads per-stage parent scores from CrossoverScoreCache,
+//   4. crossover reads per-stage parent scores from CrossoverScoreCache,
 //      whose storage is the artifacts themselves: a parent is
 //      PredictStatements-scored at most once per cost-model version, and the
 //      memo survives across generations and tuning rounds for as long as the
 //      artifact stays cached.
+// What stays serial on the calling thread: slot planning (RNG forks, parent
+// draws, skeleton checks), the batched model calls, admitting children and
+// sorting the best set, and destroying a retired generation.
+//
+// State lifetime inside Evolve. The population, each wave's children and
+// the best set hold std::shared_ptr<const State> handles, never State
+// values:
+//   * creation — init's non-failed states are copied into handles once;
+//     every other State is built by a pool worker inside a wave (the
+//     mutation or crossover replay) and published into that slot's handle;
+//   * immutability — a State is never modified once published;
+//   * readers — any pool thread may read it in the following waves and
+//     generations, as a parent or to resolve its artifact; the wave's
+//     ParallelFor join orders the publication before all of those reads;
+//   * release — a State is destroyed once every holder has let go: its
+//     generation retires (the next population replaces it) and, if it
+//     entered the best set, the best set trims it or Evolve returns; a
+//     child the wave discards is released at the end of that wave;
+//   * no handle escapes Evolve: it returns copies of the <= num_out best.
 #ifndef ANSOR_SRC_EVOLUTION_EVOLUTION_H_
 #define ANSOR_SRC_EVOLUTION_EVOLUTION_H_
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "src/evolution/evolution.h"
 #include "src/hwsim/measurer.h"
 #include "src/exec/interpreter.h"
 #include "src/sketch/sketch.h"
+#include "src/store/bytes.h"
+#include "src/workloads/operators.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -398,6 +403,122 @@ TEST(Evolution, EvolveReturnsDistinctStates) {
   std::set<std::string> sigs;
   for (const State& s : best) {
     EXPECT_TRUE(sigs.insert(StepSignature(s)).second);
+  }
+}
+
+// Scores every program and every statement 1.0: all fitness values tie, so
+// the order of the best set is decided by std::sort's tie handling alone.
+class ConstantCostModel : public CostModel {
+ public:
+  void Update(uint64_t, const std::vector<FeatureMatrix>&,
+              const std::vector<double>&) override {}
+  std::vector<double> PredictBatch(const std::vector<const FeatureMatrix*>& programs) override {
+    return std::vector<double>(programs.size(), 1.0);
+  }
+  std::vector<double> PredictStatements(const FeatureMatrix& rows) override {
+    return std::vector<double>(rows.rows(), 1.0);
+  }
+};
+
+// Order-sensitive digest of an Evolve() result: each state's step signature
+// and printed loop structure.
+uint64_t DigestStates(const std::vector<State>& states) {
+  std::string bytes;
+  for (const State& s : states) {
+    bytes += StepSignature(s);
+    bytes += '\n';
+    bytes += s.ToString();
+    bytes += '\n';
+  }
+  return Fnv1a64(bytes.data(), bytes.size());
+}
+
+struct EvolveGolden {
+  size_t count;
+  uint64_t digest;
+  int64_t child_attempts;
+  int64_t children_generated;
+  int64_t statically_rejected;
+  int64_t crossover_score_hits;
+  int64_t crossover_score_misses;
+  int64_t program_cache_lookups;  // program_cache_hits + program_cache_misses
+  int64_t program_cache_evictions;
+};
+
+// Runs Evolve on a 1-thread and a 4-thread pool and checks both against the
+// golden values. The hit/miss split of the ProgramCache is pinned only as a
+// sum: pool workers racing on one key each count a miss, so the split
+// depends on timing while the number of lookups does not.
+void ExpectEvolveGolden(const ComputeDAG* dag,
+                        const std::function<std::unique_ptr<CostModel>()>& make_model,
+                        const std::vector<State>& init, EvolutionOptions options,
+                        uint64_t seed, int num_out, const EvolveGolden& golden) {
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    std::unique_ptr<CostModel> model = make_model();
+    options.thread_pool = &pool;
+    EvolutionarySearch es(dag, model.get(), Rng(seed), options);
+    std::vector<State> best = es.Evolve(init, num_out);
+    const EvolutionStats& st = es.stats();
+    EXPECT_EQ(best.size(), golden.count);
+    EXPECT_EQ(DigestStates(best), golden.digest);
+    EXPECT_EQ(st.child_attempts, golden.child_attempts);
+    EXPECT_EQ(st.children_generated, golden.children_generated);
+    EXPECT_EQ(st.statically_rejected, golden.statically_rejected);
+    EXPECT_EQ(st.crossover_score_hits, golden.crossover_score_hits);
+    EXPECT_EQ(st.crossover_score_misses, golden.crossover_score_misses);
+    EXPECT_EQ(st.program_cache_hits + st.program_cache_misses, golden.program_cache_lookups);
+    EXPECT_EQ(st.program_cache_evictions, golden.program_cache_evictions);
+  }
+}
+
+TEST(Evolution, EvolveIsBitExactGolden) {
+  // Pins Evolve's returned states and counters for fixed seeds, so a change
+  // to how the population, children or best set are held must keep results
+  // bit-identical.
+  {
+    SCOPED_TRACE("cpu matmul, random model");
+    ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
+    auto init = InitPopulation(&dag, 8, 31);
+    EvolutionOptions options;
+    options.population = 24;
+    options.generations = 3;
+    ExpectEvolveGolden(
+        &dag, [] { return std::make_unique<RandomCostModel>(9); }, init, options, 32, 6,
+        {6, 2474958785331541125ull, 108, 72, 0, 7, 11, 80, 0});
+  }
+  {
+    // Every score ties: which states survive the best-set trim, and in what
+    // order they come back, is std::sort's tie order.
+    SCOPED_TRACE("cpu matmul, constant model");
+    ComputeDAG dag = testing::Matmul(32, 32, 32);
+    auto init = InitPopulation(&dag, 8, 33);
+    EvolutionOptions options;
+    options.population = 24;
+    options.generations = 2;
+    ExpectEvolveGolden(
+        &dag, [] { return std::make_unique<ConstantCostModel>(); }, init, options, 34, 5,
+        {5, 1257397480101026069ull, 71, 48, 0, 2, 6, 56, 0});
+  }
+  {
+    // GPU sampling (fused, thread-bound iterators) with every child verified
+    // at construction site.
+    SCOPED_TRACE("gpu conv2d, verify level 2");
+    ComputeDAG dag = MakeConv2d(1, 4, 6, 6, 8, 3, 3, 1, 1);
+    SamplerOptions sampler;
+    sampler.gpu = true;
+    Rng rng(35);
+    auto init = SampleLowerablePopulation(&dag, 6, &rng, sampler);
+    ASSERT_EQ(init.size(), 6u);
+    EvolutionOptions options;
+    options.population = 16;
+    options.generations = 2;
+    options.sampler = sampler;
+    options.verify_level = 2;
+    ExpectEvolveGolden(
+        &dag, [] { return std::make_unique<RandomCostModel>(11); }, init, options, 36, 4,
+        {4, 2011894952983832525ull, 56, 32, 0, 3, 5, 70, 0});
   }
 }
 

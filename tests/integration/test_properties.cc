@@ -29,6 +29,11 @@ struct ShapeCase {
   int64_t n, m, k;
 };
 
+// Printed by name: gtest's default printer dumps the raw bytes of the case,
+// heap pointer included, and CTest folds that into the test name, so without
+// this the names of both shape sweeps would change from build to build.
+void PrintTo(const ShapeCase& shape, std::ostream* os) { *os << shape.name; }
+
 class SampledMatmulProperty : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(SampledMatmulProperty, AllSampledProgramsComputeTheSameFunction) {
@@ -54,8 +59,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ShapeCase{"square16", 16, 16, 16}, ShapeCase{"square12", 12, 12, 12},
                       ShapeCase{"tall", 32, 4, 16}, ShapeCase{"wide", 4, 32, 16},
                       ShapeCase{"deep", 8, 8, 64}, ShapeCase{"prime", 7, 11, 13},
-                      ShapeCase{"mixed", 24, 6, 18}, ShapeCase{"tiny", 2, 2, 2}),
-    [](const ::testing::TestParamInfo<ShapeCase>& info) { return info.param.name; });
+                      ShapeCase{"mixed", 24, 6, 18}, ShapeCase{"tiny", 2, 2, 2}));
 
 // ---------------------------------------------------------------------------
 // Sweep 2: the full sketch -> sample -> measure pipeline works on every
@@ -203,14 +207,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplayDeterminismProperty, ::testing::Range(10, 
 // ---------------------------------------------------------------------------
 // Sweep 5: GPU annotation policy stays sound across shapes.
 
-// Printed by name: gtest's default printer dumps the raw bytes of the case,
-// heap pointer included, and CTest folds that into the test name, so without
-// this the names of this sweep would change from build to build.
-struct GpuShapeCase : ShapeCase {};
-
-void PrintTo(const GpuShapeCase& shape, std::ostream* os) { *os << shape.name; }
-
-class GpuSamplingProperty : public ::testing::TestWithParam<GpuShapeCase> {};
+class GpuSamplingProperty : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(GpuSamplingProperty, GpuProgramsVerifyAndBind) {
   const ShapeCase& shape = GetParam();
@@ -233,10 +230,10 @@ TEST_P(GpuSamplingProperty, GpuProgramsVerifyAndBind) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeGrid, GpuSamplingProperty,
-                         ::testing::Values(GpuShapeCase{{"square16", 16, 16, 16}},
-                                           GpuShapeCase{{"square32", 32, 32, 32}},
-                                           GpuShapeCase{{"tall", 64, 4, 16}},
-                                           GpuShapeCase{{"odd", 12, 20, 8}}));
+                         ::testing::Values(ShapeCase{"square16", 16, 16, 16},
+                                           ShapeCase{"square32", 32, 32, 32},
+                                           ShapeCase{"tall", 64, 4, 16},
+                                           ShapeCase{"odd", 12, 20, 8}));
 
 // ---------------------------------------------------------------------------
 // Sweep 6: simulator sanity across machine models — more compute never gets
