@@ -13,7 +13,6 @@
 
 #include "src/core/ansor.h"
 #include "src/support/util.h"
-#include "src/telemetry/metrics.h"
 
 namespace ansor {
 namespace bench {
@@ -67,15 +66,6 @@ inline void PrintColumns(const std::vector<std::string>& names, int width = 12) 
     std::printf("%*s", width, n.c_str());
   }
   std::printf("\n");
-}
-
-// The shared BENCH_JSON metrics block: every micro bench mirrors the
-// counters of the components it exercised into a MetricsRegistry (the
-// ExportMetrics methods / SetGauge) and embeds the flat readings in its
-// single-line JSON as "metrics":[{"name":...,"value":...,"unit":...},...],
-// so bench/snapshot.sh captures one uniform schema across benches.
-inline std::string MetricsBlock(const MetricsRegistry& registry) {
-  return "\"metrics\":" + registry.SamplesJson();
 }
 
 }  // namespace bench

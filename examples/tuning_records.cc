@@ -33,7 +33,7 @@ int main() {
     ansor::TuneResult r = ansor::TuneTask(task, &measurer, &model, trials, 16, tuning);
 
     // Records go to the compact binary codec (text stays readable via
-    // RecordCodec::kText — the legacy RecordLog format).
+    // RecordCodec::kText, the legacy one-record-per-line format).
     store.SaveToFile(record_path, ansor::RecordCodec::kBinary);
     // The artifact snapshot is what makes the *next* run warm: every
     // compiled program's features and legality verdicts, ready to serve as

@@ -129,21 +129,10 @@ struct EvolutionStats {
   int64_t program_cache_hits = 0;
   int64_t program_cache_misses = 0;
   int64_t program_cache_evictions = 0;
-
-  double CacheHitRate() const {
-    int64_t total = crossover_score_hits + crossover_score_misses;
-    return total == 0 ? 0.0 : static_cast<double>(crossover_score_hits) /
-                                  static_cast<double>(total);
-  }
-  double ProgramCacheHitRate() const {
-    int64_t total = program_cache_hits + program_cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(program_cache_hits) /
-                                  static_cast<double>(total);
-  }
 };
 
 // Adds `delta`'s counters into `total`: stats() resets per Evolve() call, so
-// round-spanning consumers (TaskTuner, the metrics registry) accumulate.
+// a round-spanning consumer (TaskTuner) accumulates.
 void AccumulateEvolutionStats(const EvolutionStats& delta, EvolutionStats* total);
 
 // Per-stage cost-model scores for crossover parents, stored on the parents'

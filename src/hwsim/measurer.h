@@ -45,7 +45,7 @@ struct MeasureOptions {
   // path) or ThreadPool::Global(). Injectable so the thread-count-invariance
   // tests control every parallel stage of a round, and so a measurer can model
   // a dedicated device executor whose capacity is independent of the host
-  // workers (the micro_service bench gives each tenant's measurer a
+  // workers (bench/e2e's service workloads give each tenant's measurer a
   // single-thread device pool).
   ThreadPool* thread_pool = nullptr;
   // Default compiled-program cache: candidates already lowered by the search

@@ -161,17 +161,6 @@ ProgramCacheStats ProgramCache::stats() const {
   return out;
 }
 
-void ProgramCache::ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const {
-  ProgramCacheStats s = stats();
-  registry->SetGauge(prefix + ".hits", static_cast<double>(s.hits));
-  registry->SetGauge(prefix + ".misses", static_cast<double>(s.misses));
-  registry->SetGauge(prefix + ".evictions", static_cast<double>(s.evictions));
-  registry->SetGauge(prefix + ".cross_client_hits", static_cast<double>(s.cross_client_hits));
-  registry->SetGauge(prefix + ".warm_inserts", static_cast<double>(s.warm_inserts));
-  registry->SetGauge(prefix + ".size", static_cast<double>(size()));
-  registry->SetGauge(prefix + ".hit_rate", s.HitRate(), "ratio");
-}
-
 ProgramCacheClientStats ProgramCache::ClientStats(uint64_t client_id) const {
   ProgramCacheClientStats out;
   for (const Shard& shard : shards_) {

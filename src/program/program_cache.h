@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/program/program_artifact.h"
-#include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 
 namespace ansor {
@@ -47,10 +46,6 @@ struct ProgramCacheStats {
   int64_t warm_inserts = 0;
 
   int64_t lookups() const { return hits + misses; }
-  double HitRate() const {
-    int64_t total = lookups();
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
 };
 
 // Per-client counters (see ProgramCache::ClientStats): exact even when the
@@ -123,11 +118,6 @@ class ProgramCache {
   // Exact counters for one nonzero client id (zero-initialized if the client
   // never looked anything up).
   ProgramCacheClientStats ClientStats(uint64_t client_id) const;
-
-  // Mirrors the current counters into `registry` as gauges named
-  // <prefix>.hits / .misses / .evictions / .cross_client_hits /
-  // .warm_inserts / .size / .hit_rate.
-  void ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const;
 
  private:
   struct Entry {

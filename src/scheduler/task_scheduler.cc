@@ -136,51 +136,12 @@ ProgramCacheStats TaskScheduler::AggregateProgramCacheStats() const {
   return total;
 }
 
-int64_t TaskScheduler::AggregateStaticallyRejected() const {
-  int64_t total = 0;
-  for (const auto& tuner : tuners_) {
-    total += tuner->statically_rejected();
-  }
-  return total;
-}
-
-EvolutionStats TaskScheduler::AggregateEvolutionStats() const {
-  EvolutionStats total;
-  for (const auto& tuner : tuners_) {
-    AccumulateEvolutionStats(tuner->evolution_stats(), &total);
-  }
-  return total;
-}
-
 SearchPhaseTimes TaskScheduler::AggregatePhaseTimes() const {
   SearchPhaseTimes total;
   for (const auto& tuner : tuners_) {
     total.Add(tuner->phase_times());
   }
   return total;
-}
-
-void TaskScheduler::ExportMetrics(MetricsRegistry* registry,
-                                  const std::string& prefix) const {
-  registry->SetGauge(prefix + ".tasks", static_cast<double>(tasks_.size()));
-  registry->SetGauge(prefix + ".rounds_allocated",
-                     static_cast<double>(allocation_trace_.size()));
-  registry->SetGauge(prefix + ".objective", ObjectiveValue(), "seconds");
-  registry->SetGauge(prefix + ".statically_rejected",
-                     static_cast<double>(AggregateStaticallyRejected()));
-  ProgramCacheStats cache = AggregateProgramCacheStats();
-  registry->SetGauge(prefix + ".cache.hits", static_cast<double>(cache.hits));
-  registry->SetGauge(prefix + ".cache.misses", static_cast<double>(cache.misses));
-  registry->SetGauge(prefix + ".cache.evictions", static_cast<double>(cache.evictions));
-  EvolutionStats evo = AggregateEvolutionStats();
-  registry->SetGauge(prefix + ".evolution.child_attempts",
-                     static_cast<double>(evo.child_attempts));
-  registry->SetGauge(prefix + ".evolution.children_generated",
-                     static_cast<double>(evo.children_generated));
-  registry->SetGauge(prefix + ".evolution.crossover_score_hits",
-                     static_cast<double>(evo.crossover_score_hits));
-  registry->SetGauge(prefix + ".evolution.crossover_score_misses",
-                     static_cast<double>(evo.crossover_score_misses));
 }
 
 double TaskScheduler::ObjectiveGradientWrtTask(int task_index,

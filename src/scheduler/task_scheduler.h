@@ -119,18 +119,8 @@ class TaskScheduler {
   // Sum of the per-task compiled-program cache counters (each tuner owns a
   // task-lifetime ProgramCache; see SearchOptions::program_cache).
   ProgramCacheStats AggregateProgramCacheStats() const;
-  // Sum of the per-task static-verifier rejection counters (candidates
-  // filtered before measurement; see TaskTuner::statically_rejected()).
-  int64_t AggregateStaticallyRejected() const;
-  // Sum of the per-task evolutionary-search counters accumulated over every
-  // Evolve() call (see TaskTuner::evolution_stats()).
-  EvolutionStats AggregateEvolutionStats() const;
   // Sum of the per-task phase attribution clocks (see TaskTuner::phase_times()).
   SearchPhaseTimes AggregatePhaseTimes() const;
-  // Mirrors the scheduler's allocation state and the aggregates above into
-  // `registry` as gauges under `prefix` (.rounds_allocated, .tasks,
-  // .objective, .statically_rejected, .cache.*, .evolution.*).
-  void ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const;
   // (cumulative trials, objective value) after every allocation.
   const std::vector<std::pair<int64_t, double>>& history() const { return history_; }
 

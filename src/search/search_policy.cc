@@ -219,19 +219,13 @@ double TaskTuner::CommitRound(PlannedRound round, const std::vector<MeasureResul
       best_state_->RetainDag(task_.dag);
     }
     measured_best_.emplace_back(results[i].seconds, round.to_measure[i]);
-    if (options_.record_log != nullptr || options_.record_store != nullptr) {
+    if (options_.record_store != nullptr) {
       TuningRecord record;
       record.task_id = task_.task_id();
       record.seconds = results[i].seconds;
       record.throughput = results[i].throughput;
       record.steps = round.to_measure[i].steps();
-      if (options_.record_log != nullptr) {
-        options_.record_log->Add(options_.record_store != nullptr ? record
-                                                                  : std::move(record));
-      }
-      if (options_.record_store != nullptr) {
-        options_.record_store->Add(std::move(record), options_.cache_client_id);
-      }
+      options_.record_store->Add(std::move(record), options_.cache_client_id);
     }
   }
   std::sort(measured_best_.begin(), measured_best_.end(),

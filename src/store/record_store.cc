@@ -625,17 +625,6 @@ RecordLoadStats RecordStore::ForEachRecord(const std::string& bytes,
   return DecodeText(bytes, fn);
 }
 
-RecordLoadStats RecordStore::StreamFile(const std::string& path,
-                                        const std::function<void(TuningRecord)>& fn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    return RecordLoadStats();
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return ForEachRecord(buffer.str(), fn);
-}
-
 RecordLoadStats RecordStore::MigrateTextToBinary(const std::string& text_path,
                                                  const std::string& binary_path) {
   RecordStore store(Options{/*dedup=*/false});

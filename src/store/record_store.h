@@ -13,7 +13,7 @@
 //    offsets + FNV-1a payload checksum) makes loads verifiable and
 //    streamable. A corrupted index degrades to a sequential scan; corrupted
 //    records are skipped and counted, never crash.
-//  * Text: the legacy one-record-per-line format of `RecordLog`
+//  * Text: the legacy one-record-per-line format
 //    (task=<hex>|seconds=<float>|steps=...), kept as a compatibility codec.
 //    Loading auto-detects the codec, so `RecordStore::LoadFromFile` on an
 //    old text log is the text→binary migration path.
@@ -48,7 +48,7 @@ struct TuningRecord {
   std::vector<Step> steps;
 };
 
-// --- Text codec (the legacy RecordLog format) --------------------------------
+// --- Text codec (the legacy one-record-per-line format) ----------------------
 
 // Compact, lossless textual encoding of one step.
 std::string SerializeStep(const Step& step);
@@ -100,9 +100,8 @@ class RecordStore {
  public:
   struct Options {
     // Signature-level dedup. Off turns the store into a plain append log
-    // (what the RecordLog compatibility wrapper uses: a tuner's own log
-    // legitimately re-measures nothing, and lossless round-trips must keep
-    // duplicates).
+    // (a single tuner's own log re-measures nothing, and lossless
+    // round-trips must keep duplicates).
     bool dedup = true;
   };
 
@@ -154,8 +153,6 @@ class RecordStore {
   // Deserialize is built on.
   static RecordLoadStats ForEachRecord(const std::string& bytes,
                                        const std::function<void(TuningRecord)>& fn);
-  static RecordLoadStats StreamFile(const std::string& path,
-                                    const std::function<void(TuningRecord)>& fn);
 
   // One-shot lossless migration: reads a legacy text log and writes the
   // binary container (no dedup — a pure format conversion). Returns the text

@@ -10,10 +10,6 @@
 
 namespace ansor {
 
-namespace {
-
-// JSON-safe number rendering: finite shortest-ish decimal, integers without a
-// trailing ".0" noise, non-finite values mapped to 0 (JSON has no inf/nan).
 std::string JsonNumber(double v) {
   if (!std::isfinite(v)) return "0";
   // Range check first: double->int64 conversion of a value outside int64's
@@ -27,8 +23,6 @@ std::string JsonNumber(double v) {
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
 }
-
-}  // namespace
 
 std::string JsonString(const std::string& s) {
   std::string out = "\"";
@@ -231,46 +225,6 @@ bool MetricsRegistry::SaveJsonToFile(const std::string& path) const {
   if (!out.is_open()) return false;
   out << ToJson() << "\n";
   return out.good();
-}
-
-std::vector<MetricSample> MetricsRegistry::Samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MetricSample> samples;
-  samples.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    switch (e->kind) {
-      case Kind::kCounter:
-        samples.push_back({e->name, static_cast<double>(e->counter->value()), e->unit});
-        break;
-      case Kind::kGauge:
-        samples.push_back({e->name, e->gauge->value(), e->unit});
-        break;
-      case Kind::kHistogram: {
-        const Histogram* h = e->histogram.get();
-        samples.push_back({e->name + ".count", static_cast<double>(h->count()), "count"});
-        samples.push_back({e->name + ".mean", h->mean(), e->unit});
-        samples.push_back({e->name + ".p50", h->Quantile(0.50), e->unit});
-        samples.push_back({e->name + ".p95", h->Quantile(0.95), e->unit});
-        samples.push_back({e->name + ".p99", h->Quantile(0.99), e->unit});
-        break;
-      }
-    }
-  }
-  return samples;
-}
-
-std::string MetricsRegistry::SamplesJson() const {
-  std::vector<MetricSample> samples = Samples();
-  std::ostringstream out;
-  out << "[";
-  for (size_t i = 0; i < samples.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "{\"name\":" << JsonString(samples[i].name)
-        << ",\"value\":" << JsonNumber(samples[i].value)
-        << ",\"unit\":" << JsonString(samples[i].unit) << "}";
-  }
-  out << "]";
-  return out.str();
 }
 
 }  // namespace ansor

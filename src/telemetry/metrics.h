@@ -7,7 +7,7 @@
 // The MetricsRegistry is the single sink they mirror into: components either
 // update registry handles directly on their hot paths (atomic add, no lock)
 // or export their existing counters on demand (the ExportMetrics methods on
-// ProgramCache / RecordStore / Measurer / GbdtCostModel), and one
+// RecordStore / Measurer / GbdtCostModel), and one
 // ToJson() call serializes the whole fleet state.
 //
 // Concurrency: Counter::Add, Gauge::Set and Histogram::Observe are lock-free
@@ -87,13 +87,10 @@ class Histogram {
 // `s` as a quoted JSON string literal: quotes, backslashes and every control
 // byte below 0x20 are escaped. Shared by the metrics and trace writers.
 std::string JsonString(const std::string& s);
-
-// One flattened metric reading (the bench BENCH_JSON block schema).
-struct MetricSample {
-  std::string name;
-  double value = 0.0;
-  std::string unit;
-};
+// `v` as a JSON number: integral values below 1e15 print every digit, others
+// print as %.9g, and non-finite values (which JSON cannot hold) print as 0.
+// Shared by the metrics and trace writers.
+std::string JsonNumber(double v);
 
 class MetricsRegistry {
  public:
@@ -124,13 +121,6 @@ class MetricsRegistry {
   // Metrics appear in registration order, so output is stable.
   std::string ToJson() const;
   bool SaveJsonToFile(const std::string& path) const;
-
-  // Flat {name, value, unit} readings in registration order; histograms
-  // expand to <name>.count / <name>.mean / <name>.p50 / .p95 / .p99.
-  std::vector<MetricSample> Samples() const;
-  // Samples() rendered as a JSON array (the benches' BENCH_JSON metrics
-  // block: [{"name":...,"value":...,"unit":...},...]).
-  std::string SamplesJson() const;
 
   size_t size() const;
 

@@ -195,9 +195,7 @@ void TraceSpan::Arg(const char* key, int64_t value) {
 
 void TraceSpan::Arg(const char* key, double value) {
   if (sink_ == nullptr) return;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", std::isfinite(value) ? value : 0.0);
-  event_.args.emplace_back(key, buf);
+  event_.args.emplace_back(key, JsonNumber(value));
 }
 
 void TraceSpan::Finish() {

@@ -7,7 +7,8 @@
 // branch on that null pointer — no clock read, no allocation, no lock — so
 // instrumentation left in hot paths (evolution generations, cache lookups,
 // per-trial measurement) costs nothing when tracing is off. Tests and the
-// micro benches hold this line; see tests/telemetry/ and bench/snapshot.sh.
+// end-to-end benchmark hold this line; see tests/telemetry/ and
+// bench/e2e (telemetry.overhead_frac).
 //
 // Parent/child links are explicit rather than thread-local: spans routinely
 // cross the thread pool (a measurement batch is submitted on the driver

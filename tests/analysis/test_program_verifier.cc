@@ -16,6 +16,7 @@
 #include "src/hwsim/measurer.h"
 #include "src/program/program_cache.h"
 #include "src/sampler/annotation.h"
+#include "src/search/search_policy.h"
 #include "src/sketch/sketch.h"
 #include "src/support/thread_pool.h"
 #include "src/workloads/operators.h"
@@ -261,6 +262,37 @@ TEST(ProgramVerifier, EvolutionCountsStaticRejections) {
   };
   EXPECT_EQ(run(0), 0);
   EXPECT_GE(run(1), 1);
+}
+
+TEST(ProgramVerifier, StaticFilterSavesMeasurementTrialsAtEqualBudget) {
+  // The same 16-trial tuning round with the verifier off and on. Softmax over
+  // 512-wide rows makes the vectorize mutation annotate a 512-extent loop,
+  // beyond the Intel model's 256-lane register budget, so such a program
+  // fails on the simulated machine. Off, those candidates burn measurement
+  // trials; on, the verifier rejects them before the measurer sees them.
+  struct Counts {
+    int64_t invalid_measures;
+    int64_t statically_rejected;
+  };
+  auto tune = [](int verify_level) {
+    Measurer measurer(MachineModel::IntelCpu20Core());
+    GbdtCostModel model;
+    SearchOptions options;
+    options.population = 40;
+    options.generations = 3;
+    options.random_samples_per_round = 16;
+    options.verify_level = verify_level;
+    TaskTuner tuner(MakeSearchTask("softmax", MakeSoftmax(64, 512)), &measurer, &model,
+                    options);
+    tuner.TuneRound(16);
+    return Counts{tuner.invalid_measures(), tuner.statically_rejected()};
+  };
+  Counts off = tune(0);
+  EXPECT_GT(off.invalid_measures, 0);
+  EXPECT_EQ(off.statically_rejected, 0);
+  Counts on = tune(1);
+  EXPECT_EQ(on.invalid_measures, 0);
+  EXPECT_GT(on.statically_rejected, 0);
 }
 
 TEST(ProgramVerifierConcurrency, ParallelVerdictsThroughSharedCache) {

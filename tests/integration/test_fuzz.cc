@@ -11,7 +11,6 @@
 #include "src/hwsim/measurer.h"
 #include "src/program/program_cache.h"
 #include "src/sampler/annotation.h"
-#include "src/search/record_log.h"
 #include "src/sketch/sketch.h"
 #include "src/store/artifact_store.h"
 #include "src/store/record_store.h"

@@ -5,9 +5,9 @@
 
 #include "src/exec/interpreter.h"
 #include "src/sampler/annotation.h"
-#include "src/search/record_log.h"
 #include "src/search/search_policy.h"
 #include "src/sketch/sketch.h"
+#include "src/store/record_store.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -81,8 +81,12 @@ TEST(RecordSerialization, MalformedLinesRejected) {
   EXPECT_FALSE(ParseRecord("a=1|b=2|c=3").has_value());
 }
 
+// A single tuner's record log is a RecordStore in append-log mode (no
+// dedup), written in the legacy text codec where a case pins that format.
+const RecordStore::Options kAppendLog{/*dedup=*/false};
+
 TEST(RecordLogTest, BestForPicksLowestLatency) {
-  RecordLog log;
+  RecordStore log(kAppendLog);
   log.Add({1, 5e-3, 0.0, {}});
   log.Add({1, 2e-3, 0.0, {}});
   log.Add({2, 1e-3, 0.0, {}});
@@ -93,11 +97,11 @@ TEST(RecordLogTest, BestForPicksLowestLatency) {
 }
 
 TEST(RecordLogTest, SerializeDeserializeAll) {
-  RecordLog log;
+  RecordStore log(kAppendLog);
   log.Add({7, 1e-3, 0.0, {MakeSplitStep("C", 0, {4})}});
   log.Add({8, 2e-3, 0.0, {MakeCacheWriteStep("C")}});
-  RecordLog copy;
-  EXPECT_EQ(copy.Deserialize(log.Serialize()), 2u);
+  RecordStore copy(kAppendLog);
+  EXPECT_EQ(copy.Deserialize(log.Serialize(RecordCodec::kText)).loaded, 2u);
   EXPECT_EQ(copy.records().size(), 2u);
   EXPECT_EQ(copy.records()[0].task_id, 7u);
 }
@@ -107,15 +111,15 @@ TEST(RecordLogTest, LoadFromFileReportsLoadedAndSkipped) {
   // kept and what it dropped instead of silently shrinking the log.
   std::string path = ::testing::TempDir() + "/ansor_records_mixed.log";
   {
-    RecordLog good;
+    RecordStore good(kAppendLog);
     good.Add({1, 1e-3, 0.0, {MakeSplitStep("C", 0, {4})}});
     good.Add({2, 2e-3, 0.0, {MakeCacheWriteStep("C")}});
-    ASSERT_TRUE(good.SaveToFile(path));
+    ASSERT_TRUE(good.SaveToFile(path, RecordCodec::kText));
     std::ofstream append(path, std::ios::app);
     append << "task=12|seconds=1e-3|steps=XX,0,4@C\n";  // unknown step kind
     append << "total garbage line\n";
   }
-  RecordLog loaded;
+  RecordStore loaded(kAppendLog);
   RecordLoadStats stats = loaded.LoadFromFile(path);
   EXPECT_TRUE(stats);
   EXPECT_EQ(stats.loaded, 2u);
@@ -129,8 +133,8 @@ TEST(RecordLogTest, LoadFromFileReportsLoadedAndSkipped) {
 }
 
 TEST(RecordLogTest, ReadsBinaryStores) {
-  // The wrapper auto-detects the fleet store's binary codec: old call sites
-  // can load new files, so the migration path runs in both directions.
+  // Loading auto-detects the codec: a log kept in text reads a binary store
+  // too, so the migration path runs in both directions.
   RecordStore store;
   TuningRecord r;
   r.task_id = 9;
@@ -141,7 +145,7 @@ TEST(RecordLogTest, ReadsBinaryStores) {
   std::string path = ::testing::TempDir() + "/ansor_records_binary.bin";
   ASSERT_TRUE(store.SaveToFile(path, RecordCodec::kBinary));
 
-  RecordLog log;
+  RecordStore log(kAppendLog);
   RecordLoadStats stats = log.LoadFromFile(path);
   EXPECT_TRUE(stats);
   EXPECT_TRUE(stats.index_ok);
@@ -152,11 +156,11 @@ TEST(RecordLogTest, ReadsBinaryStores) {
 }
 
 TEST(RecordLogTest, FileRoundTrip) {
-  RecordLog log;
+  RecordStore log(kAppendLog);
   log.Add({42, 3e-3, 0.0, {MakeSplitStep("C", 1, {2, 2})}});
   std::string path = ::testing::TempDir() + "/ansor_records_test.log";
-  ASSERT_TRUE(log.SaveToFile(path));
-  RecordLog loaded;
+  ASSERT_TRUE(log.SaveToFile(path, RecordCodec::kText));
+  RecordStore loaded(kAppendLog);
   ASSERT_TRUE(loaded.LoadFromFile(path));
   ASSERT_EQ(loaded.records().size(), 1u);
   EXPECT_EQ(loaded.records()[0].task_id, 42u);
@@ -170,11 +174,11 @@ TEST(RecordLogTest, ReplayBestReconstructsProgram) {
   SearchTask task = MakeSearchTask("mm", dag);
   Measurer measurer(MachineModel::IntelCpu20Core());
   GbdtCostModel model;
-  RecordLog log;
+  RecordStore log(kAppendLog);
   SearchOptions options;
   options.population = 12;
   options.generations = 1;
-  options.record_log = &log;
+  options.record_store = &log;
   TuneResult result = TuneTask(task, &measurer, &model, 16, 8, options);
   ASSERT_TRUE(result.best_state.has_value());
   EXPECT_GT(log.records().size(), 0u);
@@ -188,7 +192,7 @@ TEST(RecordLogTest, ReplayBestReconstructsProgram) {
 }
 
 TEST(RecordLogTest, ReplayBestFailsForUnknownTask) {
-  RecordLog log;
+  RecordStore log(kAppendLog);
   ComputeDAG dag = testing::Matmul(8, 8, 8);
   State replayed = log.ReplayBest(&dag);
   EXPECT_TRUE(replayed.failed());

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <thread>
 
+#include "src/sketch/sketch.h"
 #include "src/store/record_store.h"
+#include "src/workloads/operators.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -100,6 +102,29 @@ TEST(RecordStoreBinary, BinarySmallerThanText) {
   std::string binary = store.Serialize(RecordCodec::kBinary);
   EXPECT_LT(binary.size() * 5, text.size())
       << "binary=" << binary.size() << " text=" << text.size();
+
+  // Real sampled ConvLayer programs (multi-stage tiling, cache writes,
+  // annotations: ~23 steps each) replicated across synthetic task ids, the
+  // way a fleet's history repeats structurally similar tasks.
+  ComputeDAG dag = MakeConvLayer(1, 32, 28, 28, 32, 3, 3, 1, 1);
+  Rng rng(7);
+  std::vector<State> corpus = SampleLowerablePopulation(&dag, 24, &rng);
+  ASSERT_EQ(corpus.size(), 24u);
+  RecordStore fleet;
+  for (uint64_t t = 1; fleet.size() < 2000; ++t) {
+    for (size_t p = 0; p < corpus.size(); ++p) {
+      TuningRecord r;
+      r.task_id = 0x9e3779b97f4a7c15ULL * t;
+      r.seconds = 1e-3 * (1.0 + 0.01 * static_cast<double>(p + t % 7));
+      r.throughput = dag.FlopCount() / r.seconds;
+      r.steps = corpus[p].steps();
+      fleet.Add(std::move(r));
+    }
+  }
+  std::string fleet_text = fleet.Serialize(RecordCodec::kText);
+  std::string fleet_binary = fleet.Serialize(RecordCodec::kBinary);
+  EXPECT_LT(fleet_binary.size() * 9, fleet_text.size())
+      << "binary=" << fleet_binary.size() << " text=" << fleet_text.size();
 }
 
 TEST(RecordStoreText, MigrationIsLossless) {

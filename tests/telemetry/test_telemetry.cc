@@ -91,30 +91,6 @@ TEST(TelemetryMetrics, RegistrationReturnsStablePointersAndFixedUnits) {
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
 }
 
-TEST(TelemetryMetrics, SamplesFlattenHistograms) {
-  MetricsRegistry registry;
-  registry.AddCounter("n", 7, "count");
-  Histogram* h = registry.histogram("latency", "seconds");
-  h->Observe(1.0);
-  h->Observe(2.0);
-
-  std::vector<MetricSample> samples = registry.Samples();
-  // counter + {count, mean, p50, p95, p99} for the histogram.
-  ASSERT_EQ(samples.size(), 6u);
-  EXPECT_EQ(samples[0].name, "n");
-  EXPECT_DOUBLE_EQ(samples[0].value, 7.0);
-  EXPECT_EQ(samples[1].name, "latency.count");
-  EXPECT_DOUBLE_EQ(samples[1].value, 2.0);
-  EXPECT_EQ(samples[2].name, "latency.mean");
-  EXPECT_DOUBLE_EQ(samples[2].value, 1.5);
-
-  std::string json = registry.SamplesJson();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-  EXPECT_NE(json.find("\"name\":\"latency.p95\""), std::string::npos);
-  EXPECT_NE(json.find("\"unit\":\"seconds\""), std::string::npos);
-}
-
 TEST(TelemetryMetrics, ConcurrentCounterIncrementsAreExact) {
   MetricsRegistry registry;
   Counter* counter = registry.counter("hits");
