@@ -89,11 +89,10 @@ ServiceRun RunService(const std::string& trace_path, const std::string& warm_sta
 
 void PrintPhases(const char* label, const ansor::JobReport& report) {
   const ansor::SearchPhaseTimes& p = report.phases;
-  std::printf("%s job phases (s): sketch %.3f, search %.3f, features %.3f, "
-              "measure %.3f, commit %.3f; overlap %.0f%% of measurement; "
-              "trials %lld valid / %lld invalid / %lld cancelled\n",
-              label, p.sketch_seconds, p.search_seconds, p.feature_seconds,
-              p.measure_wall_seconds, p.commit_seconds, 100.0 * p.OverlapFraction(),
+  std::printf("%s job phases (s): sketch %.3f, search %.3f, measure %.3f, "
+              "commit %.3f; trials %lld valid / %lld invalid / %lld cancelled\n",
+              label, p.sketch_seconds, p.search_seconds, p.measure_wall_seconds,
+              p.commit_seconds,
               static_cast<long long>(report.trials_valid),
               static_cast<long long>(report.trials_invalid),
               static_cast<long long>(report.trials_cancelled));

@@ -214,16 +214,7 @@ std::vector<MeasureResult> Measurer::MeasureBatch(const std::vector<State>& stat
                                                   ProgramCache* cache,
                                                   uint64_t cache_client_id,
                                                   const Tracer* tracer) {
-  ProgramCache* resolved = cache != nullptr ? cache : options_.program_cache;
-  TraceSpan batch(tracer, "measure_batch", "measure");
-  batch.Arg("count", static_cast<int64_t>(states.size()));
-  Tracer nested = batch.child();
-  const Tracer* item_tracer = batch.enabled() ? &nested : nullptr;
-  std::vector<MeasureResult> results(states.size());
-  ThreadPool::OrGlobal(options_.thread_pool).ParallelFor(states.size(), [&](size_t i) {
-    results[i] = MeasureImpl(states[i], 0, resolved, cache_client_id, item_tracer);
-  });
-  return results;
+  return SubmitBatch(states, cache, cache_client_id, nullptr, tracer).Wait();
 }
 
 PendingMeasureBatch Measurer::SubmitBatch(std::vector<State> states, ProgramCache* cache,

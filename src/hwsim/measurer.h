@@ -41,12 +41,12 @@ struct MeasureOptions {
   // hiccups, timeouts). The search must tolerate these without permanently
   // blacklisting the affected programs.
   std::function<bool(const State&)> fail_injector;
-  // Pool for MeasureBatch / SubmitBatch; nullptr = the caller's pool (async
-  // path) or ThreadPool::Global(). Injectable so the thread-count-invariance
-  // tests control every parallel stage of a round, and so a measurer can model
-  // a dedicated device executor whose capacity is independent of the host
-  // workers (bench/e2e's service workloads give each tenant's measurer a
-  // single-thread device pool).
+  // Device executor for MeasureBatch / SubmitBatch: when set, every trial
+  // runs on this pool and on no other thread, so a measurer can model a
+  // dedicated device whose capacity is independent of the host workers
+  // (bench/e2e's service workloads give each tenant's measurer a
+  // single-thread device pool). nullptr = the pool passed to SubmitBatch,
+  // else ThreadPool::Global().
   ThreadPool* thread_pool = nullptr;
   // Default compiled-program cache: candidates already lowered by the search
   // (population scoring) are measured without re-lowering. Overridable per
@@ -76,10 +76,10 @@ struct MeasureResult {
 };
 
 // Handle to an in-flight asynchronous measurement batch (Measurer::
-// SubmitBatch). The async seam of the tuning service: while a batch occupies
-// the worker pool (or sleeps out its emulated device latency), the submitting
-// job keeps searching. Results are index-aligned with the submitted states
-// and independent of worker count or completion order.
+// SubmitBatch). While a batch occupies its pool (or sleeps out its emulated
+// device latency), other jobs keep searching, and a deadline can cancel the
+// items that have not started. Results are index-aligned with the submitted
+// states and independent of worker count or completion order.
 class PendingMeasureBatch {
  public:
   // An empty handle behaves like a completed empty batch.
@@ -113,23 +113,23 @@ class Measurer {
   // `cache_client_id` tags the cache lookups for cross-task accounting
   // (ProgramCache::GetOrBuild); 0 = anonymous. A non-null `tracer` records a
   // "measure_trial" span per trial (args: outcome, and queue_seconds for
-  // submitted batches — the time the item waited for a device worker; the
+  // batch items — the time the item waited for a device worker; the
   // span's own duration is the device time) under a "measure_batch" span
   // covering submit→complete. Results are identical with tracing on or off.
   MeasureResult Measure(const State& state, ProgramCache* cache = nullptr,
                         uint64_t cache_client_id = 0, const Tracer* tracer = nullptr);
+  // SubmitBatch(...).Wait(): the synchronous spelling of the one batch path.
   std::vector<MeasureResult> MeasureBatch(const std::vector<State>& states,
                                           ProgramCache* cache = nullptr,
                                           uint64_t cache_client_id = 0,
                                           const Tracer* tracer = nullptr);
 
-  // Asynchronous MeasureBatch: enqueues one measurement per state and returns
-  // immediately. Items run on MeasureOptions::thread_pool when set (the
-  // measurer's device executor — a dedicated target device must not have its
-  // occupancy diluted onto host workers), else on `pool`, else the global
-  // pool. The submit/drain split lets the caller overlap its own work
-  // — the next round's search, training-feature extraction — with the batch
-  // in flight, and lets a deadline cancel the unstarted remainder. The
+  // Enqueues one measurement per state and returns immediately. Items run on
+  // MeasureOptions::thread_pool when set (the measurer's device executor — a
+  // dedicated target device must not have its occupancy diluted onto host
+  // workers), else on `pool`, else the global pool. The submit/drain split
+  // lets a deadline cancel the unstarted remainder, and lets other jobs
+  // search on the host workers while this batch occupies the device. The
   // Measurer (and cache, if any) must outlive the returned handle's Wait().
   // With a tracer, the "measure_batch" span opens at submission and is
   // recorded by whichever worker completes the batch's last item.

@@ -71,8 +71,8 @@ struct TaskSchedulerOptions {
 // The gradient allocation policy. Historically this class WAS the tuning
 // loop (Tune() below still is, for the legacy synchronous path); the
 // step-wise NextTask()/RecordRound() interface lets an external driver — the
-// TuningService — own the loop instead, overlapping one round's measurement
-// with other work while this class only decides who runs next.
+// TuningService — own the loop instead, running each round through the same
+// TaskTuner::TuneRound while this class only decides who runs next.
 //
 // RNG draw-order contract (pinned; enforced by the SchedulerGradient golden-
 // trace test): the warm-up pass consumes NO random draws — while any task

@@ -142,28 +142,6 @@ PendingMeasureBatch TaskTuner::SubmitPlannedRound(const PlannedRound& round,
                                 tracer_.enabled() ? &tracer_ : nullptr);
 }
 
-void TaskTuner::ExtractFeatures(PlannedRound* round) {
-  if (!round->features.empty()) {
-    return;  // already extracted
-  }
-  const int64_t t0 = clock_->NowNanos();
-  TraceSpan span(tracer_, "training_features", "search");
-  Tracer nested = span.child();
-  const Tracer* nested_ptr = span.enabled() ? &nested : nullptr;
-  // Training features are copied out of the cached artifacts (the
-  // per-candidate copy is mutated at commit when a transient failure must
-  // not train a zero-throughput sample). Artifacts were compiled during
-  // planning, so this is cheap and safe to overlap with the in-flight batch.
-  round->features.resize(round->to_measure.size());
-  ThreadPool::OrGlobal(options_.thread_pool)
-      .ParallelFor(round->to_measure.size(), [&](size_t i) {
-        round->features[i] =
-            cache_->GetOrBuild(round->to_measure[i], options_.cache_client_id, nested_ptr)
-                ->features();
-      });
-  phase_times_.feature_seconds += SecondsBetween(t0, clock_->NowNanos());
-}
-
 double TaskTuner::CommitRound(PlannedRound round, const std::vector<MeasureResult>& results) {
   if (round.to_measure.empty()) {
     return best_seconds_;
@@ -184,12 +162,26 @@ double TaskTuner::CommitRound(PlannedRound round, const std::vector<MeasureResul
   }
   total_measures_ += started;
 
+  // Training features are copied out of the cached artifacts (compiled during
+  // planning); a candidate's copy is cleared below when its result must not
+  // train a sample.
+  std::vector<FeatureMatrix> features(round.to_measure.size());
+  {
+    TraceSpan span(tracer_, "training_features", "search");
+    Tracer nested = span.child();
+    const Tracer* nested_ptr = span.enabled() ? &nested : nullptr;
+    ThreadPool::OrGlobal(options_.thread_pool)
+        .ParallelFor(round.to_measure.size(), [&](size_t i) {
+          features[i] =
+              cache_->GetOrBuild(round.to_measure[i], options_.cache_client_id, nested_ptr)
+                  ->features();
+        });
+  }
+
   // Update best + training data. Only programs that measured valid are
   // recorded in measured_signatures_: a transient invalid result must not
   // permanently blacklist the program. Invalid results are tallied per
   // signature and blacklist only after max_invalid_measures attempts.
-  ExtractFeatures(&round);
-  std::vector<FeatureMatrix>& features = round.features;
   std::vector<double> throughputs(round.to_measure.size(), 0.0);
   for (size_t i = 0; i < round.to_measure.size(); ++i) {
     if (results[i].cancelled) {
@@ -245,15 +237,20 @@ double TaskTuner::CommitRound(PlannedRound round, const std::vector<MeasureResul
   return best_seconds_;
 }
 
-double TaskTuner::TuneRound(int num_measures) {
+double TaskTuner::TuneRound(int num_measures, int64_t deadline_nanos) {
   PlannedRound round = PlanRound(num_measures);
   if (round.to_measure.empty()) {
     return best_seconds_;
   }
   const int64_t t0 = clock_->NowNanos();
-  std::vector<MeasureResult> results =
-      measurer_->MeasureBatch(round.to_measure, cache_, options_.cache_client_id,
-                              tracer_.enabled() ? &tracer_ : nullptr);
+  PendingMeasureBatch batch = SubmitPlannedRound(round);
+  if (deadline_nanos != kNoDeadline &&
+      !batch.WaitFor(SecondsBetween(clock_->NowNanos(), deadline_nanos))) {
+    // Deadline passed mid-batch: unstarted trials come back cancelled (not
+    // charged to any budget); in-flight ones finish, so Wait() cannot hang.
+    batch.Cancel();
+  }
+  std::vector<MeasureResult> results = batch.Wait();
   phase_times_.measure_wall_seconds += SecondsBetween(t0, clock_->NowNanos());
   return CommitRound(std::move(round), results);
 }

@@ -8,6 +8,8 @@
 #ifndef ANSOR_SRC_SEARCH_SEARCH_POLICY_H_
 #define ANSOR_SRC_SEARCH_SEARCH_POLICY_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -76,7 +78,8 @@ struct SearchOptions {
   // accumulates deduplicated in one place. Not owned; may be shared across
   // concurrent tuners.
   RecordStore* record_store = nullptr;
-  // Pool for evolution and feature extraction; nullptr = ThreadPool::Global().
+  // Pool for evolution, training features, and measurement trials when the
+  // measurer has no device pool of its own; nullptr = ThreadPool::Global().
   // Results are invariant to the pool size (see the determinism tests).
   ThreadPool* thread_pool = nullptr;
   // Compiled-program cache shared by every consumer of a tuning round
@@ -125,53 +128,36 @@ struct SearchOptions {
 };
 
 // Wall-clock seconds a tuner (or a whole job) spent in each phase of the
-// tuning loop. Sketch/search/feature/commit accumulate inside TaskTuner;
-// measure_wall is the submit→complete wall time of measurement batches
-// (accumulated by TuneRound on the synchronous path and by the service
-// driver on the overlapped path, which also credits `overlap` — the portion
-// of search-side work that ran while a batch was in flight).
+// tuning loop, all accumulated inside TaskTuner. measure_wall is the
+// submit→complete wall time of the round's measurement batch; commit
+// includes copying the training features out of the cached artifacts.
 struct SearchPhaseTimes {
   double sketch_seconds = 0.0;
   double search_seconds = 0.0;   // PlanRound: evolution + candidate filtering
-  double feature_seconds = 0.0;  // training-feature extraction
   double measure_wall_seconds = 0.0;
   double commit_seconds = 0.0;   // result bookkeeping + cost-model training
-  double overlap_seconds = 0.0;  // search-side work overlapped with measuring
+  // Always 0; removed with service.overlap_fraction in the next benchmark
+  // change.
+  double overlap_seconds = 0.0;
 
   double TotalSeconds() const {
-    return sketch_seconds + search_seconds + feature_seconds + measure_wall_seconds +
-           commit_seconds;
-  }
-  // Fraction of measurement wall time that was hidden behind search-side
-  // work (the async pipeline's win; 0 on the synchronous path).
-  double OverlapFraction() const {
-    return measure_wall_seconds > 0.0 ? overlap_seconds / measure_wall_seconds : 0.0;
+    return sketch_seconds + search_seconds + measure_wall_seconds + commit_seconds;
   }
   void Add(const SearchPhaseTimes& other) {
     sketch_seconds += other.sketch_seconds;
     search_seconds += other.search_seconds;
-    feature_seconds += other.feature_seconds;
     measure_wall_seconds += other.measure_wall_seconds;
     commit_seconds += other.commit_seconds;
-    overlap_seconds += other.overlap_seconds;
   }
 };
 
 // One planned-but-not-yet-committed tuning round: the candidates PlanRound
-// selected for measurement, their precomputed signatures, and (optionally)
-// their training features. The step-wise resumable-round interface exists so
-// the TuningService can overlap phases: plan, submit the batch, extract
-// features while the batch is in flight, then commit the results. TuneRound
-// composes the same steps back-to-back, so Plan + Measure + Commit is
-// bit-identical to the legacy synchronous round.
+// selected for measurement and their precomputed signatures. TuneRound
+// composes PlanRound + SubmitPlannedRound/Wait + CommitRound; the steps stay
+// public for drivers that measure on a pool of their own choosing.
 struct PlannedRound {
   std::vector<State> to_measure;
   std::vector<std::string> signatures;  // StepSignature per candidate
-  // Per-candidate training-feature matrices, copied out of the cached
-  // artifacts. Filled by ExtractFeatures (overlappable with measurement);
-  // CommitRound extracts them itself when left empty. Pure function of
-  // to_measure, so when it runs does not affect results.
-  std::vector<FeatureMatrix> features;
 };
 
 // Per-task tuner holding search state across rounds so the task scheduler can
@@ -181,25 +167,27 @@ class TaskTuner {
   TaskTuner(SearchTask task, Measurer* measurer, CostModel* model,
             SearchOptions options = SearchOptions());
 
-  // Runs one tuning round with a budget of `num_measures` measurement trials.
+  // Runs one tuning round with a budget of `num_measures` measurement trials:
+  // PlanRound, SubmitPlannedRound, wait, CommitRound. Every driver (TuneTask,
+  // TaskScheduler::Tune, the TuningService) runs rounds through here. When
+  // the clock (SearchOptions::clock) passes `deadline_nanos` while the batch
+  // is in flight, its unstarted trials are cancelled and not charged.
   // Returns the best latency (seconds) found so far; infinity until a valid
-  // program is measured. Equivalent to PlanRound + SubmitPlannedRound/Wait +
-  // CommitRound (the step-wise path the TuningService drives).
-  double TuneRound(int num_measures);
+  // program is measured.
+  static constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
+  double TuneRound(int num_measures, int64_t deadline_nanos = kNoDeadline);
 
   // Step-wise (resumable) round interface ------------------------------------
   // Selects up to `num_measures` candidates (evolution + epsilon-random
   // exploration, deduplicated against already-measured programs, statically
   // filtered). Consumes the tuner RNG exactly as the same phase of TuneRound.
   PlannedRound PlanRound(int num_measures);
-  // Enqueues the round's candidates for asynchronous measurement on `pool`
-  // through the task's program cache. Empty rounds return a completed handle.
+  // Enqueues the round's candidates for asynchronous measurement through the
+  // task's program cache: on the measurer's device pool when it has one, else
+  // on `pool` (nullptr = SearchOptions::thread_pool). Empty rounds return a
+  // completed handle.
   PendingMeasureBatch SubmitPlannedRound(const PlannedRound& round,
                                          ThreadPool* pool = nullptr);
-  // Copies the candidates' training features out of the cached artifacts
-  // (idempotent; safe to run while the round's batch measures concurrently —
-  // artifacts are immutable and the cache is thread-safe).
-  void ExtractFeatures(PlannedRound* round);
   // Applies the measurement results: best-program tracking, blacklist
   // bookkeeping, cost-model training, history. `results` must be
   // index-aligned with round.to_measure. Cancelled results (deadline) are
@@ -231,16 +219,15 @@ class TaskTuner {
   // Trials whose results came back cancelled (deadline hit before start).
   int64_t cancelled_measures() const { return cancelled_measures_; }
   // Per-phase wall-time attribution accumulated across rounds (single
-  // injected clock; see SearchOptions::clock). The synchronous TuneRound
-  // path fills measure_wall itself; on the service's overlapped path the
-  // driver owns measure_wall/overlap and merges.
+  // injected clock; see SearchOptions::clock). measure_wall is charged by
+  // TuneRound only; drivers of the step-wise interface time their own waits.
   const SearchPhaseTimes& phase_times() const { return phase_times_; }
   // EvolutionStats summed over every PlanRound this tuner ran (the per-call
   // stats are reset by each Evolve; this is the round-spanning mirror the
   // metrics registry snapshots).
   const EvolutionStats& evolution_stats() const { return evolution_stats_; }
   // Re-attributes subsequent spans (round/parent change): the service driver
-  // points this at the current round's span before planning it.
+  // points this at the current round's span before running it.
   void set_tracer(const Tracer& tracer) { tracer_ = tracer; }
 
  private:

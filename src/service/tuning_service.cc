@@ -240,16 +240,12 @@ void TuningService::RunJob(JobState* job) {
   const bool has_deadline = std::isfinite(spec.deadline_seconds);
   const int64_t deadline_nanos =
       has_deadline ? start_nanos + static_cast<int64_t>(spec.deadline_seconds * 1e9)
-                   : std::numeric_limits<int64_t>::max();
-  // Driver-observed measurement timing: the tuners account for their own
-  // search-side phases, but on this overlapped path only the driver sees
-  // when a batch was submitted and when it completed — and how much search
-  // work ran while it was in flight.
-  SearchPhaseTimes driver_times;
+                   : TaskTuner::kNoDeadline;
+  auto past_deadline = [&] { return has_deadline && clock_->NowNanos() >= deadline_nanos; };
   bool deadline_hit = false;
   int rounds = 0;
   while (rounds < spec.total_rounds && !job->cancel.load(std::memory_order_acquire)) {
-    if (has_deadline && clock_->NowNanos() >= deadline_nanos) {
+    if (past_deadline()) {
       deadline_hit = true;
       break;
     }
@@ -272,37 +268,14 @@ void TuningService::RunJob(JobState* job) {
                             .WithRound(rounds));
     }
     double before = tuner->best_seconds();
-    // The overlapped round: submit the batch, then extract this round's
-    // training features while it measures. Other jobs' drivers overlap their
-    // search with this batch on the same pool.
-    PlannedRound round = tuner->PlanRound(spec.options.measures_per_round);
-    const int64_t submit_nanos = clock_->NowNanos();
-    PendingMeasureBatch batch = tuner->SubmitPlannedRound(round, &workers_);
-    tuner->ExtractFeatures(&round);
-    const int64_t features_done_nanos = clock_->NowNanos();
-    if (has_deadline) {
-      double remaining = SecondsBetween(clock_->NowNanos(), deadline_nanos);
-      if (!batch.WaitFor(remaining)) {
-        // Deadline passed mid-batch: unstarted trials come back cancelled
-        // (not charged to any budget); in-flight ones finish, so Wait()
-        // below cannot hang.
-        batch.Cancel();
-        deadline_hit = true;
-      }
-    }
-    std::vector<MeasureResult> results = batch.Wait();
-    const int64_t batch_done_nanos = clock_->NowNanos();
-    driver_times.measure_wall_seconds += SecondsBetween(submit_nanos, batch_done_nanos);
-    // Feature extraction started right after submit, so the portion of it
-    // that fits inside the batch's wall time ran fully overlapped.
-    driver_times.overlap_seconds +=
-        std::min(SecondsBetween(submit_nanos, features_done_nanos),
-                 SecondsBetween(submit_nanos, batch_done_nanos));
-    double after = tuner->CommitRound(std::move(round), results);
+    // While this round's batch measures, other jobs' drivers search on the
+    // same pool. A deadline reached mid-batch cancels its unstarted trials.
+    double after = tuner->TuneRound(spec.options.measures_per_round, deadline_nanos);
     scheduler.RecordRound(pick, before, after);
     ++rounds;
     metrics_.AddCounter("service.rounds_completed", 1, "rounds");
-    if (deadline_hit) {
+    if (past_deadline()) {
+      deadline_hit = true;
       break;
     }
   }
@@ -335,11 +308,7 @@ void TuningService::RunJob(JobState* job) {
     }
   }
   report.trials_valid = report.trials - report.trials_invalid;
-  // Per-phase attribution: the tuners' search-side clocks plus the driver's
-  // measurement wall/overlap (the tuners never fill measure_wall on this
-  // overlapped path — TuneRound does on the synchronous one).
   report.phases = scheduler.AggregatePhaseTimes();
-  report.phases.Add(driver_times);
   // All three from the same three clock readings; turnaround is computed as
   // the sum so the identity holds exactly in double arithmetic too.
   report.queue_seconds = SecondsBetween(job->submit_nanos, start_nanos);
@@ -353,10 +322,6 @@ void TuningService::RunJob(JobState* job) {
   metrics_.histogram("job.queue_seconds")->Observe(report.queue_seconds);
   metrics_.histogram("job.run_seconds")->Observe(report.run_seconds);
   metrics_.histogram("job.turnaround_seconds")->Observe(report.turnaround_seconds);
-  if (report.phases.measure_wall_seconds > 0.0) {
-    metrics_.histogram("job.overlap_fraction", "ratio")
-        ->Observe(report.phases.OverlapFraction());
-  }
   // Mirror the borrowed components the job used (idempotent gauge sets;
   // jobs sharing a measurer/model just refresh the same gauges).
   spec.measurer->ExportMetrics(&metrics_, "measurer");

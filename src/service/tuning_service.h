@@ -1,29 +1,23 @@
 // Tuning-as-a-service: a long-lived, multi-tenant scheduling core.
 //
-// The legacy entry point (TaskScheduler::Tune) is a synchronous round loop
-// over one job: search and measurement strictly alternate and only one
-// Objective can exist at a time. The TuningService rebuilds that stack as a
-// service: callers Submit() any number of concurrent jobs — each with its
-// own tasks, Objective, trial budget, and deadline — and the service drives
-// them over one shared worker pool, with search (child generation +
-// cost-model scoring) and measurement overlapped as a producer/consumer
-// pipeline:
-//
-//   * across jobs: while one job's measurement batch occupies the pool (or
-//     sleeps out its emulated device latency), other jobs' drivers keep
-//     searching on the same workers (ParallelFor caller participation
-//     guarantees progress even on a saturated pool);
-//   * within a round: the round's training-feature extraction runs while its
-//     own batch is in flight (Measurer::SubmitBatch is the async seam; the
-//     features are a pure function of the candidates, not the results).
+// The legacy entry point (TaskScheduler::Tune) tunes one job at a time and
+// only one Objective can exist at a time. The TuningService rebuilds that
+// stack as a service: callers Submit() any number of concurrent jobs — each
+// with its own tasks, Objective, trial budget, and deadline — and the
+// service drives them over one shared worker pool. Each job's round is the
+// same TaskTuner::TuneRound every driver runs (plan, measure, commit); the
+// win is across jobs: while one job's measurement batch occupies the pool
+// (or sleeps out its emulated device latency), other jobs' drivers keep
+// searching on the same workers (ParallelFor caller participation
+// guarantees progress even on a saturated pool).
 //
 // Determinism contract (enforced by the TuningService matrix tests): a job's
 // results are a pure function of its spec. Fixed seeds give bit-identical
 // per-task best latencies and allocation traces for any worker count, any
 // max_concurrent_jobs, and any co-tenant jobs — and identical to the legacy
-// synchronous TaskScheduler::Tune (which Tune() itself now implements by
-// driving the same step-wise NextTask/PlanRound/CommitRound path). Shared
-// caches cannot break this: artifacts are pure functions of (DAG, steps).
+// synchronous TaskScheduler::Tune (both run NextTask → TaskTuner::TuneRound
+// → RecordRound). Shared caches cannot break this: artifacts are pure
+// functions of (DAG, steps).
 // Deadlines are the one wall-clock-dependent feature; a job that hits its
 // deadline has nondeterministic cutoff by nature, but never loses budget
 // accounting (cancelled trials are not spent) and never hangs.
@@ -121,9 +115,7 @@ struct JobReport {
   double run_seconds = 0.0;         // first round -> terminal
   double turnaround_seconds = 0.0;  // submit -> terminal
   // Where run_seconds went: per-phase attribution summed over the job's
-  // tuners (sketch/search/feature/commit) plus the driver-observed
-  // measurement wall time and the search-side work overlapped with in-flight
-  // batches (phases.OverlapFraction() is the pipeline's win).
+  // tuners (sketch/search/measure/commit).
   SearchPhaseTimes phases;
   // Program-cache traffic attributed to this job's tasks (exact even when
   // the caches are shared with concurrent jobs). cross_client_hits counts

@@ -26,9 +26,9 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   // Enqueues one task for asynchronous execution and returns immediately.
-  // The async seam for overlapped search/measurement (Measurer::SubmitBatch):
-  // the caller keeps computing while workers drain the queue. Tasks enqueued
-  // during shutdown still run before the destructor joins.
+  // Measurer::SubmitBatch enqueues one task per trial, so only this pool's
+  // workers run them and a deadline can cancel those not yet started. Tasks
+  // enqueued during shutdown still run before the destructor joins.
   void Enqueue(std::function<void()> fn);
 
   // Process-wide shared pool sized to the hardware concurrency.

@@ -277,6 +277,28 @@ TEST(Measurer, SubmitBatchMatchesMeasureBatch) {
   EXPECT_EQ(async_measurer.trial_count(), sync_measurer.trial_count());
 }
 
+TEST(Measurer, MeasureBatchRunsOnlyOnTheDevicePool) {
+  // A 1-thread device measures one trial at a time: four 50 ms trials take
+  // at least 200 ms. The calling thread must not run a second trial beside
+  // the device worker.
+  ThreadPool device(1);
+  MeasureOptions options;
+  options.thread_pool = &device;
+  options.measure_latency_seconds = 0.05;
+  Measurer measurer(MachineModel::IntelCpu20Core(), options);
+  ComputeDAG dag = testing::Matmul(16, 16, 16);
+  std::vector<State> states(4, State(&dag));
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<MeasureResult> results = measurer.MeasureBatch(states);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_EQ(results.size(), 4u);
+  for (const MeasureResult& r : results) {
+    EXPECT_TRUE(r.valid) << r.error;
+  }
+  EXPECT_GE(elapsed, 0.19);
+}
+
 TEST(Measurer, CancelledTrialsAreNotCharged) {
   // Block the (single-worker) pool so no batch item can start, cancel, then
   // drain: every item must come back cancelled without touching the trial

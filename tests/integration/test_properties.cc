@@ -71,6 +71,9 @@ struct OperatorCase {
   std::function<ComputeDAG()> make;
 };
 
+// Printed by name for the same reason as ShapeCase.
+void PrintTo(const OperatorCase& op, std::ostream* os) { *os << op.name; }
+
 class OperatorPipelineProperty : public ::testing::TestWithParam<OperatorCase> {};
 
 TEST_P(OperatorPipelineProperty, SketchSampleMeasureVerify) {

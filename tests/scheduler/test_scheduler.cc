@@ -250,8 +250,7 @@ TEST(SchedulerGradient, EpsZeroTraceInvariantToSchedulerSeed) {
 
 TEST(Scheduler, StepwiseDriveMatchesTune) {
   // Driving the resumable-round interface by hand — including the async
-  // submit / overlapped feature extraction the TuningService uses — must be
-  // bit-identical to the legacy synchronous Tune().
+  // submit — must be bit-identical to the legacy synchronous Tune().
   std::vector<SearchTask> tasks = {MakeTask(testing::Matmul(32, 32, 32), "a"),
                                    MakeTask(testing::Matmul(64, 32, 32), "b")};
   std::vector<NetworkSpec> nets = {{"net", {0, 1}}};
@@ -273,7 +272,6 @@ TEST(Scheduler, StepwiseDriveMatchesTune) {
     double before = tuner->best_seconds();
     PlannedRound planned = tuner->PlanRound(options.measures_per_round);
     PendingMeasureBatch batch = tuner->SubmitPlannedRound(planned);
-    tuner->ExtractFeatures(&planned);  // overlaps the in-flight batch
     double after = tuner->CommitRound(std::move(planned), batch.Wait());
     stepwise.RecordRound(pick, before, after);
   }

@@ -214,6 +214,47 @@ TEST(SearchPolicy, LimitedSpaceFindsWorseOrEqualPrograms) {
   EXPECT_LE(full_result.best_seconds, limited_result.best_seconds * 1.15);
 }
 
+TEST(SearchPolicy, PhaseTimesChargeEachClockStepOnce) {
+  // Every reading of the fake clock advances it by one step, and each phase
+  // reads it exactly twice (start, end). A phase timed inside another one
+  // would show up as extra steps in both, and in TotalSeconds().
+  constexpr int64_t kStep = 1000;
+  constexpr double kStepSeconds = kStep * 1e-9;
+  FakeClock clock(0, kStep);
+  Measurer measurer(MachineModel::IntelCpu20Core());
+  GbdtCostModel model;
+  SearchOptions options = testing::SmallSearchOptions();
+  options.clock = &clock;
+  TaskTuner tuner(MakeTask(testing::Matmul(16, 16, 16)), &measurer, &model, options);
+  tuner.TuneRound(8);
+  ASSERT_GT(tuner.total_measures(), 0);
+  const SearchPhaseTimes& phases = tuner.phase_times();
+  EXPECT_DOUBLE_EQ(phases.sketch_seconds, kStepSeconds);
+  EXPECT_DOUBLE_EQ(phases.search_seconds, kStepSeconds);
+  EXPECT_DOUBLE_EQ(phases.measure_wall_seconds, kStepSeconds);
+  EXPECT_DOUBLE_EQ(phases.commit_seconds, kStepSeconds);
+  EXPECT_DOUBLE_EQ(phases.TotalSeconds(), 4 * kStepSeconds);
+  // Eight readings in all: nothing else in the round reads the clock.
+  EXPECT_EQ(clock.NowNanos(), 8 * kStep);
+}
+
+TEST(SearchPolicy, TuneRoundDeadlineCancelsUnstartedTrials) {
+  // A slow single-thread device and a deadline that has already passed: the
+  // round cancels what has not started, returns, and charges only the trials
+  // that reached the device.
+  ThreadPool device(1);
+  MeasureOptions mopts;
+  mopts.thread_pool = &device;
+  mopts.measure_latency_seconds = 0.05;
+  Measurer measurer(MachineModel::IntelCpu20Core(), mopts);
+  GbdtCostModel model;
+  TaskTuner tuner(MakeTask(testing::Matmul(16, 16, 16)), &measurer, &model,
+                  testing::SmallSearchOptions());
+  tuner.TuneRound(8, /*deadline_nanos=*/MonotonicClock::Real()->NowNanos());
+  EXPECT_GT(tuner.cancelled_measures(), 0);
+  EXPECT_EQ(tuner.total_measures(), measurer.trial_count());
+}
+
 TEST(SearchPolicy, TaskIdStableAcrossConstruction) {
   SearchTask a = MakeTask(testing::Matmul(32, 32, 32));
   SearchTask b = MakeTask(testing::Matmul(32, 32, 32));
