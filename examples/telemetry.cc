@@ -14,6 +14,7 @@
 #include "examples/example_util.h"
 #include "src/core/ansor.h"
 #include "src/service/tuning_service.h"
+#include "src/support/util.h"
 #include "src/telemetry/trace.h"
 #include "src/telemetry/trace_report.h"
 
@@ -26,13 +27,24 @@ struct ServiceRun {
   std::string rendered;        // tools/trace_report's fold of the trace
 };
 
-ServiceRun RunService(const std::string& trace_path, const std::string& warm_start_path,
+// Prints the failed write and returns false, so main can exit 1 on it.
+bool Written(bool ok, const char* what, const std::string& path) {
+  if (!ok) {
+    std::printf("failed to write %s %s\n", what, path.c_str());
+  }
+  return ok;
+}
+
+ServiceRun RunService(const std::string& trace_file, const std::string& warm_start_path,
                       const std::string& save_warm_path,
                       const std::string& metrics_path) {
   ServiceRun run;
+  // The caller owns the sink and declares it before the service, so it
+  // outlives every job that records into it.
+  ansor::TraceSink sink;
   ansor::TuningServiceOptions service_options;
   service_options.num_workers = 4;
-  service_options.trace_path = trace_path;
+  service_options.trace_sink = &sink;
   service_options.warm_start_path = warm_start_path;
 
   ansor::Measurer measurer(ansor::MachineModel::IntelCpu20Core());
@@ -63,18 +75,26 @@ ServiceRun RunService(const std::string& trace_path, const std::string& warm_sta
     ansor::JobHandle handle = service.Submit(std::move(spec));
     service.WaitAll();
     run.report = handle.report();
-    if (!save_warm_path.empty()) {
-      service.SaveWarmState(save_warm_path);
+    if (!save_warm_path.empty() &&
+        !Written(service.SaveWarmState(save_warm_path), "warm state", save_warm_path)) {
+      return run;
     }
-    if (!metrics_path.empty()) {
-      service.metrics()->SaveJsonToFile(metrics_path);
+    // MetricsSnapshotJson refreshes the mirrored fleet gauges (shared
+    // caches, warm start, trace) before serializing.
+    if (!metrics_path.empty() &&
+        !Written(ansor::WriteFileAtomic(metrics_path, service.MetricsSnapshotJson() + "\n"),
+                 "metrics snapshot", metrics_path)) {
+      return run;
     }
-    service.Shutdown();  // flushes the JSONL trace to trace_path
+    service.Shutdown();  // every job is terminal: the trace is complete
+  }
+  if (!Written(sink.SaveToFile(trace_file), "trace", trace_file)) {
+    return run;
   }
 
   std::vector<ansor::TraceEvent> events;
-  if (!ansor::TraceSink::LoadFromFile(trace_path, &events)) {
-    std::printf("failed to load trace %s\n", trace_path.c_str());
+  if (!ansor::TraceSink::LoadFromFile(trace_file, &events)) {
+    std::printf("failed to load trace %s\n", trace_file.c_str());
     return run;
   }
   for (const ansor::TraceEvent& event : events) {

@@ -34,13 +34,19 @@ int main() {
 
     // Records go to the compact binary codec (text stays readable via
     // RecordCodec::kText, the legacy one-record-per-line format).
-    store.SaveToFile(record_path, ansor::RecordCodec::kBinary);
+    if (!store.SaveToFile(record_path, ansor::RecordCodec::kBinary)) {
+      std::printf("failed to write %s\n", record_path.c_str());
+      return 1;
+    }
     // The artifact snapshot is what makes the *next* run warm: every
     // compiled program's features and legality verdicts, ready to serve as
     // cache hits without replay/lowering.
     ansor::ArtifactStore artifacts;
     artifacts.CaptureCache(cache);
-    artifacts.SaveToFile(artifact_path);
+    if (!artifacts.SaveToFile(artifact_path)) {
+      std::printf("failed to write %s\n", artifact_path.c_str());
+      return 1;
+    }
     std::printf("tuned: best %.3f ms; %zu records + %zu artifacts saved\n",
                 r.best_seconds * 1e3, store.size(), artifacts.size());
   }

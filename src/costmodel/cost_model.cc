@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/ir/state.h"
 #include "src/store/artifact_store.h"
@@ -220,26 +218,6 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
   task_best_ = std::move(bests);
   BumpVersion();  // any memoized stage scores elsewhere are now stale
   return true;
-}
-
-bool GbdtCostModel::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return false;
-  }
-  std::string bytes = Serialize();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out.good();
-}
-
-bool GbdtCostModel::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
 }
 
 std::vector<double> GbdtCostModel::PredictBatch(

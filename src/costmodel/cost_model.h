@@ -156,8 +156,6 @@ class GbdtCostModel : public CostModel {
   // model stopped. Loading bumps version() (memoized stage scores go stale).
   std::string Serialize() const;
   bool Deserialize(const std::string& bytes);
-  bool SaveToFile(const std::string& path) const;
-  bool LoadFromFile(const std::string& path);
 
  private:
   void Retrain();

@@ -90,15 +90,8 @@ TuningService::TuningService(TuningServiceOptions options)
     : options_(std::move(options)),
       clock_(MonotonicClock::OrReal(options_.clock)),
       workers_(static_cast<size_t>(std::max(0, options_.num_workers))) {
-  if (options_.trace_sink != nullptr) {
-    sink_ = options_.trace_sink;
-  } else if (!options_.trace_path.empty()) {
-    owned_sink_ = std::make_unique<TraceSink>();
-    sink_ = owned_sink_.get();
-  }
   if (!options_.warm_start_path.empty()) {
-    Tracer tracer(sink_, clock_);
-    TraceSpan load(sink_ != nullptr ? &tracer : nullptr, "store_load", "store");
+    TraceSpan load(Tracer(options_.trace_sink, clock_), "store_load", "store");
     warm_start_stats_ = warm_store_.LoadFromFile(options_.warm_start_path);
     if (load.enabled()) {
       load.Arg("count", static_cast<int64_t>(warm_start_stats_.loaded));
@@ -117,7 +110,7 @@ ProgramCache* TuningService::SharedCacheForTag(const std::string& tag) {
   std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<ProgramCache>& cache = tag_caches_[tag];
   if (cache == nullptr) {
-    cache = std::make_unique<ProgramCache>(options_.shared_cache_capacity);
+    cache = std::make_unique<ProgramCache>();
   }
   return cache.get();
 }
@@ -190,9 +183,7 @@ void TuningService::RunJob(JobState* job) {
   // and the search/evolution/measure children attributed through the
   // per-round tuner tracer — nests under it, so a trace fold recovers the
   // job's turnaround from its direct children.
-  Tracer job_tracer =
-      sink_ != nullptr ? Tracer(sink_, clock_).WithJob(job->id) : Tracer();
-  TraceSpan job_span(job_tracer, "job", "service");
+  TraceSpan job_span(Tracer(options_.trace_sink, clock_).WithJob(job->id), "job", "service");
   if (job_span.enabled() && !spec.name.empty()) {
     job_span.Arg("name", spec.name);
   }
@@ -208,7 +199,7 @@ void TuningService::RunJob(JobState* job) {
   Tracer warm_tracer = job_span.child();
   for (size_t i = 0; i < n_tasks; ++i) {
     client_ids[i] = next_client_id_.fetch_add(1);
-    if (options_.share_caches_by_tag && !spec.tasks[i].tag.empty()) {
+    if (!spec.tasks[i].tag.empty()) {
       tag_caches[i] = SharedCacheForTag(spec.tasks[i].tag);
       // Fleet warm start: seed the shared cache with every persisted
       // artifact of this task before its tuner first touches it.
@@ -360,10 +351,6 @@ void TuningService::Shutdown() {
     driver.join();
   }
   drivers_.clear();
-  // Every job is terminal now, so the trace is complete and stable.
-  if (sink_ != nullptr && !options_.trace_path.empty()) {
-    sink_->SaveToFile(options_.trace_path);
-  }
 }
 
 std::string TuningService::MetricsSnapshotJson() {
@@ -385,8 +372,9 @@ std::string TuningService::MetricsSnapshotJson() {
   if (options_.record_store != nullptr) {
     options_.record_store->ExportMetrics(&metrics_, "store");
   }
-  if (sink_ != nullptr) {
-    metrics_.SetGauge("trace.spans", static_cast<double>(sink_->size()), "spans");
+  if (options_.trace_sink != nullptr) {
+    metrics_.SetGauge("trace.spans", static_cast<double>(options_.trace_sink->size()),
+                      "spans");
   }
   return metrics_.ToJson();
 }
@@ -411,8 +399,7 @@ size_t TuningService::shared_cache_count() const {
 }
 
 bool TuningService::SaveWarmState(const std::string& path) const {
-  Tracer tracer(sink_, clock_);
-  TraceSpan span(sink_ != nullptr ? &tracer : nullptr, "store_save", "store");
+  TraceSpan span(Tracer(options_.trace_sink, clock_), "store_save", "store");
   ArtifactStore snapshot;
   {
     // Collect the caches under mu_, capture them outside it: CaptureCache

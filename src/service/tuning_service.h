@@ -164,11 +164,6 @@ struct TuningServiceOptions {
   // one-job-at-a-time fleet behavior (and each job is bit-identical to
   // TaskScheduler::Tune regardless). Results are invariant to this.
   int max_concurrent_jobs = 1;
-  // Hand every task with the same nonempty similarity tag — within and
-  // across jobs — one shared service-owned ProgramCache. Tasks with an empty
-  // tag (or with a cache already injected via SearchOptions) keep their own.
-  bool share_caches_by_tag = true;
-  size_t shared_cache_capacity = ProgramCache::kDefaultCapacity;
   // Fleet-wide record store: when set, every job's valid measurements are
   // appended here (deduplicated by signature, attributed per (job, task)
   // client id — see JobReport::records). Not owned; must outlive the
@@ -181,14 +176,12 @@ struct TuningServiceOptions {
   // cold start.
   std::string warm_start_path;
   // Telemetry ---------------------------------------------------------------
-  // When nonempty, the service owns a TraceSink, traces every job (spans for
+  // When set, the service traces every job into this sink (spans for
   // job/round/store phases, with search/evolution/measure children via the
-  // per-round tuner tracer) and writes the JSONL trace here at Shutdown.
-  // Tracing only reads the clock and records events; fixed-seed results are
-  // bit-identical with it on or off.
-  std::string trace_path;
-  // Borrowed sink alternative: trace into a caller-owned sink (tests inspect
-  // it live; trace_path may still be set to also write the file). Not owned.
+  // per-round tuner tracer); the caller writes it out with
+  // TraceSink::SaveToFile once the service is shut down. Not owned; must
+  // outlive the service. Tracing only reads the clock and records events;
+  // fixed-seed results are bit-identical with it on or off.
   TraceSink* trace_sink = nullptr;
   // The single monotonic clock every job timing derives from — report
   // queue/run/turnaround, per-phase attribution, span durations. nullptr =
@@ -239,9 +232,8 @@ class TuningService {
   // warm-start stats) and serializes the whole fleet state as one JSON
   // object.
   std::string MetricsSnapshotJson();
-  // The active trace sink: the borrowed options.trace_sink, the owned sink
-  // created for options.trace_path, or nullptr when tracing is off.
-  TraceSink* trace_sink() const { return sink_; }
+  // The borrowed options.trace_sink, or nullptr when tracing is off.
+  TraceSink* trace_sink() const { return options_.trace_sink; }
   // The clock all job timings derive from (options.clock or the real one).
   MonotonicClock* clock() const { return clock_; }
 
@@ -256,13 +248,12 @@ class TuningService {
                     const Tracer* tracer = nullptr);
 
   TuningServiceOptions options_;
-  // Telemetry: the single clock, the owned-or-borrowed trace sink, and the
-  // fleet metrics registry (internally synchronized; no mu_ needed). Declared
-  // before workers_ so they outlive the pool: ~ThreadPool joins every worker
-  // thread before the sink/clock a lagging trace Record might touch die.
+  // Telemetry: the single clock and the fleet metrics registry (internally
+  // synchronized; no mu_ needed). Declared before workers_ so they outlive
+  // the pool: ~ThreadPool joins every worker thread before the registry a
+  // lagging round might touch dies. The trace sink and a borrowed clock are
+  // the caller's, and outlive the service by contract.
   MonotonicClock* clock_;
-  std::unique_ptr<TraceSink> owned_sink_;
-  TraceSink* sink_ = nullptr;
   MetricsRegistry metrics_;
   ThreadPool workers_;
   mutable std::mutex mu_;  // queue, job list, tag caches, shutdown flag

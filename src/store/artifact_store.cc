@@ -1,12 +1,10 @@
 #include "src/store/artifact_store.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "src/dag/compute_dag.h"
 #include "src/ir/state.h"
 #include "src/program/program_cache.h"
 #include "src/store/serde.h"
+#include "src/support/util.h"
 
 namespace ansor {
 namespace {
@@ -229,23 +227,12 @@ ArtifactLoadStats ArtifactStore::Deserialize(const std::string& bytes) {
 }
 
 bool ArtifactStore::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return false;
-  }
-  std::string bytes = Serialize();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out.good();
+  return WriteFileAtomic(path, Serialize());
 }
 
 ArtifactLoadStats ArtifactStore::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return ArtifactLoadStats();
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
+  std::string bytes;
+  return ReadFile(path, &bytes) ? Deserialize(bytes) : ArtifactLoadStats();
 }
 
 }  // namespace ansor

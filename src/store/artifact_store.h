@@ -108,6 +108,7 @@ class ArtifactStore {
   std::string Serialize() const;
   // Parses `bytes` and Adds every well-formed snapshot under dedup.
   ArtifactLoadStats Deserialize(const std::string& bytes);
+  // Replaces `path` via WriteFileAtomic; on false the old file is intact.
   bool SaveToFile(const std::string& path) const;
   ArtifactLoadStats LoadFromFile(const std::string& path);
 

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "src/store/serde.h"
@@ -598,23 +597,12 @@ RecordLoadStats RecordStore::Deserialize(const std::string& bytes) {
 }
 
 bool RecordStore::SaveToFile(const std::string& path, RecordCodec codec) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) {
-    return false;
-  }
-  std::string bytes = Serialize(codec);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out.good();
+  return WriteFileAtomic(path, Serialize(codec));
 }
 
 RecordLoadStats RecordStore::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    return RecordLoadStats();
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
+  std::string bytes;
+  return ReadFile(path, &bytes) ? Deserialize(bytes) : RecordLoadStats();
 }
 
 RecordLoadStats RecordStore::ForEachRecord(const std::string& bytes,

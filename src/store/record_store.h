@@ -144,6 +144,7 @@ class RecordStore {
   // Parses `bytes` (codec auto-detected by the binary magic) and Adds every
   // well-formed record under this store's dedup policy.
   RecordLoadStats Deserialize(const std::string& bytes);
+  // Replaces `path` via WriteFileAtomic; on false the old file is intact.
   bool SaveToFile(const std::string& path,
                   RecordCodec codec = RecordCodec::kBinary) const;
   RecordLoadStats LoadFromFile(const std::string& path);

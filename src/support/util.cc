@@ -1,8 +1,14 @@
 #include "src/support/util.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iomanip>
 
 #include "src/support/logging.h"
@@ -82,6 +88,65 @@ int64_t EnvInt(const char* name, int64_t default_value) {
     return default_value;
   }
   return std::atoll(env);
+}
+
+namespace {
+
+// write(2) until every byte is out, retrying short writes and EINTR.
+bool WriteAll(int fd, const std::string& bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// fsync of the directory holding `path`, which makes a rename into it durable.
+bool SyncParentDir(const std::string& path) {
+  size_t slash = path.find_last_of('/');
+  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return false;
+  }
+  bool ok = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && ok;
+}
+
+}  // namespace
+
+bool WriteFileAtomic(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return false;
+  }
+  bool ok = WriteAll(fd, bytes) && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return SyncParentDir(path);
+}
+
+bool ReadFile(const std::string& path, std::string* bytes) {
+  // Sized up front and read in one call: a stream-to-stream copy of a
+  // multi-megabyte store costs several times the read itself.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::streamoff size = in.tellg();  // -1 when the open failed
+  if (size < 0 || static_cast<uint64_t>(size) > bytes->max_size()) {
+    return false;  // a directory's end offset is no size (ext4 reports 2^63 - 1)
+  }
+  bytes->resize(static_cast<size_t>(size));
+  return in.seekg(0) && in.read(bytes->data(), size);
 }
 
 }  // namespace ansor

@@ -50,6 +50,22 @@ std::string FormatDouble(double v, int precision = 3);
 double EnvDouble(const char* name, double default_value);
 int64_t EnvInt(const char* name, int64_t default_value);
 
+// The one way the library puts a file on disk. Writes `bytes` to
+// "<path>.tmp" in the same directory, fsyncs and closes it, renames it over
+// `path`, then fsyncs the directory. Guarantee: after a crash at any point,
+// `path` holds either its old bytes or the new ones, never a mix or a
+// prefix. Returns false on any failure; a failure before the rename removes
+// the temp file and leaves `path` untouched (a failed directory fsync comes
+// after the rename: `path` then holds the new bytes, not known durable).
+// Concurrent writers to one path are not supported: they share the temp
+// file.
+bool WriteFileAtomic(const std::string& path, const std::string& bytes);
+
+// The one way the library reads a file back: replaces *bytes with the whole
+// content of `path`. False when it cannot be opened or read in full, or is
+// not a regular file.
+bool ReadFile(const std::string& path, std::string* bytes);
+
 }  // namespace ansor
 
 #endif  // ANSOR_SRC_SUPPORT_UTIL_H_

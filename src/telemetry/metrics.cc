@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "src/support/logging.h"
@@ -218,13 +217,6 @@ std::string MetricsRegistry::ToJson() const {
   out << "{\"counters\":[" << counters.str() << "],\"gauges\":[" << gauges.str()
       << "],\"histograms\":[" << histograms.str() << "]}";
   return out.str();
-}
-
-bool MetricsRegistry::SaveJsonToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.is_open()) return false;
-  out << ToJson() << "\n";
-  return out.good();
 }
 
 }  // namespace ansor

@@ -120,7 +120,6 @@ class MetricsRegistry {
   //                   "p50","p95","p99"}...]}
   // Metrics appear in registration order, so output is stable.
   std::string ToJson() const;
-  bool SaveJsonToFile(const std::string& path) const;
 
   size_t size() const;
 

@@ -4,9 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
+#include "src/support/util.h"
 #include "src/telemetry/metrics.h"
 
 namespace ansor {
@@ -113,10 +113,7 @@ std::string TraceSink::ToJsonl() const {
 }
 
 bool TraceSink::SaveToFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.is_open()) return false;
-  out << ToJsonl();
-  return out.good();
+  return WriteFileAtomic(path, ToJsonl());
 }
 
 bool TraceSink::ParseJsonl(const std::string& text, std::vector<TraceEvent>* events) {
@@ -150,11 +147,8 @@ bool TraceSink::ParseJsonl(const std::string& text, std::vector<TraceEvent>* eve
 }
 
 bool TraceSink::LoadFromFile(const std::string& path, std::vector<TraceEvent>* events) {
-  std::ifstream in(path);
-  if (!in.is_open()) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseJsonl(buf.str(), events);
+  std::string text;
+  return ReadFile(path, &text) && ParseJsonl(text, events);
 }
 
 TraceSpan::TraceSpan(const Tracer& tracer, const char* name, const char* category) {

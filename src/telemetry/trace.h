@@ -76,6 +76,7 @@ class TraceSink {
   // wrapped in "[...]"/ separated by commas) is what chrome://tracing and
   // perfetto load; tools/trace_report and the tests consume the raw lines.
   std::string ToJsonl() const;
+  // Replaces `path` via WriteFileAtomic; on false the old file is intact.
   bool SaveToFile(const std::string& path) const;
 
   // Parses events back out of ToJsonl() output (the known flat shape only —

@@ -163,6 +163,34 @@ TEST(ArtifactStoreTest, FileRoundTripAndMissingFile) {
   EXPECT_EQ(missing.size(), 0u);
 }
 
+TEST(ArtifactStoreTest, InterruptedSaveAtEveryByteKeepsOldState) {
+  auto dag = SharedMatmul();
+  std::vector<State> programs = SamplePrograms(dag.get());
+  ProgramCache cache(64, 1);
+  cache.GetOrBuild(programs[0]);
+  ArtifactStore old_store;
+  old_store.CaptureCache(cache, "t");
+  for (const State& s : programs) {
+    cache.GetOrBuild(s);
+  }
+  ArtifactStore new_store;
+  new_store.CaptureCache(cache, "t");
+  std::string path = ::testing::TempDir() + "/ansor_interrupted_artifacts.bin";
+  ASSERT_TRUE(old_store.SaveToFile(path));
+
+  auto loads = [&](const ArtifactStore& expected) {
+    ArtifactStore loaded;
+    return loaded.LoadFromFile(path).ok && loaded.Serialize() == expected.Serialize();
+  };
+  testing::ExpectEveryCutSaveKeepsOldFile(
+      path, new_store.Serialize().size(), [&] { return new_store.SaveToFile(path); },
+      [&] { return loads(old_store); });
+
+  ASSERT_TRUE(new_store.SaveToFile(path));
+  EXPECT_TRUE(loads(new_store));
+  std::remove(path.c_str());
+}
+
 TEST(ArtifactStoreTest, CorruptionNeverCrashes) {
   auto dag = SharedMatmul();
   ProgramCache cache(64, 1);

@@ -1,5 +1,6 @@
 // RecordStore: binary container round trips, text migration, signature
-// dedup, corruption recovery, and concurrent fleet appends.
+// dedup, corruption recovery, interrupted saves, and concurrent fleet
+// appends.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -146,6 +147,32 @@ TEST(RecordStoreText, MigrationIsLossless) {
   EXPECT_EQ(Lines(loaded.records()), Lines(store.records()));
   std::remove(text_path.c_str());
   std::remove(bin_path.c_str());
+}
+
+TEST(RecordStoreFile, InterruptedSaveAtEveryByteKeepsOldState) {
+  const RecordStore::Options no_dedup{/*dedup=*/false};
+  std::vector<TuningRecord> records = AllKindsRecords();
+  RecordStore old_store(no_dedup);
+  old_store.Add(records[0]);
+  RecordStore new_store(no_dedup);
+  for (TuningRecord r : records) {
+    new_store.Add(std::move(r));
+  }
+  std::string path = ::testing::TempDir() + "/ansor_interrupted_records.bin";
+  ASSERT_TRUE(old_store.SaveToFile(path));
+
+  auto loads = [&](const RecordStore& expected) {
+    RecordStore loaded(no_dedup);
+    return loaded.LoadFromFile(path).ok &&
+           Lines(loaded.records()) == Lines(expected.records());
+  };
+  testing::ExpectEveryCutSaveKeepsOldFile(
+      path, new_store.Serialize().size(), [&] { return new_store.SaveToFile(path); },
+      [&] { return loads(old_store); });
+
+  ASSERT_TRUE(new_store.SaveToFile(path));
+  EXPECT_TRUE(loads(new_store));
+  std::remove(path.c_str());
 }
 
 TEST(RecordStoreDedup, ExactCountersAndInPlaceImprovement) {

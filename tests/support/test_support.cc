@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
@@ -134,6 +136,26 @@ TEST(Join, Strings) {
 TEST(Env, Defaults) {
   EXPECT_DOUBLE_EQ(EnvDouble("ANSOR_NONEXISTENT_VAR_X", 1.5), 1.5);
   EXPECT_EQ(EnvInt("ANSOR_NONEXISTENT_VAR_X", 42), 42);
+}
+
+TEST(FileIo, AtomicWriteReadsBackAndFailuresLeaveNothing) {
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "/ansor_file_io_test.bin";
+  std::string bytes("binary\0payload", 14);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes));
+  std::string back = "stale";
+  ASSERT_TRUE(ReadFile(path, &back));
+  EXPECT_EQ(back, bytes);
+  ASSERT_TRUE(WriteFileAtomic(path, ""));  // replacing with nothing is a write too
+  ASSERT_TRUE(ReadFile(path, &back));
+  EXPECT_EQ(back, "");
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(ReadFile(path, &back));  // missing
+  EXPECT_FALSE(ReadFile(dir, &back));   // a directory is not a file
+  const std::string orphan = dir + "/ansor_no_such_dir/f.bin";
+  EXPECT_FALSE(WriteFileAtomic(orphan, bytes));
+  EXPECT_FALSE(ReadFile(orphan + ".tmp", &back));
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Telemetry core tests: histogram bucket/quantile correctness, lock-cheap
 // registry behavior under concurrent writers (the tsan target), span
-// parent/child nesting, and the JSONL trace round trip.
+// parent/child nesting, the JSONL trace round trip, and interrupted trace
+// saves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 #include "src/telemetry/trace_report.h"
+#include "tests/testing.h"
 
 namespace ansor {
 namespace {
@@ -208,6 +211,39 @@ TEST(TelemetrySpan, JsonlRoundTripPreservesKnownFields) {
     }
   }
   EXPECT_TRUE(saw_outcome);
+}
+
+TEST(TelemetrySpan, InterruptedSaveAtEveryByteKeepsOldTrace) {
+  // Spans without args: ToJsonl of the loaded events then reproduces the
+  // saved sink byte for byte, so the comparison is exact.
+  FakeClock clock(1000, 500);
+  auto trace = [&clock](TraceSink* sink, int spans) {
+    Tracer tracer(sink, &clock);
+    for (int i = 0; i < spans; ++i) {
+      TraceSpan span(tracer.WithJob(1).WithRound(i), "round", "search");
+    }
+  };
+  TraceSink old_sink;
+  trace(&old_sink, 1);
+  TraceSink new_sink;
+  trace(&new_sink, 3);
+  std::string path = ::testing::TempDir() + "/ansor_interrupted_trace.jsonl";
+  ASSERT_TRUE(old_sink.SaveToFile(path));
+
+  auto loads = [&](const TraceSink& expected) {
+    std::vector<TraceEvent> events;
+    if (!TraceSink::LoadFromFile(path, &events)) return false;
+    TraceSink loaded;
+    for (TraceEvent& e : events) loaded.Record(std::move(e));
+    return loaded.ToJsonl() == expected.ToJsonl();
+  };
+  testing::ExpectEveryCutSaveKeepsOldFile(
+      path, new_sink.ToJsonl().size(), [&] { return new_sink.SaveToFile(path); },
+      [&] { return loads(old_sink); });
+
+  ASSERT_TRUE(new_sink.SaveToFile(path));
+  EXPECT_TRUE(loads(new_sink));
+  std::remove(path.c_str());
 }
 
 TEST(TelemetrySpan, JsonlEscapesControlCharactersInArgs) {

@@ -1,6 +1,7 @@
 // Service-level telemetry tests: golden trace shape on a fixed-seed
 // multi-job run, the span-durations-sum-to-turnaround contract, bit-identical
-// determinism with tracing on vs off, and fake-clock JobReport timing.
+// determinism with tracing on vs off, fake-clock JobReport timing, and the
+// fleet gauges in the metrics snapshot.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -146,13 +147,14 @@ TEST(TelemetryService, GoldenTraceShapeOnFixedSeedTwoJobRun) {
 TEST(TelemetryService, SpanDurationsSumToReportedTurnaround) {
   constexpr int kJobs = 3;
   constexpr int kRounds = 3;
-  std::string trace_path = ::testing::TempDir() + "/ansor_test_service_trace.jsonl";
-  std::remove(trace_path.c_str());
+  std::string trace_file = ::testing::TempDir() + "/ansor_test_service_trace.jsonl";
+  std::remove(trace_file.c_str());
 
+  TraceSink sink;
   TuningServiceOptions service_options;
   service_options.num_workers = 2;
   service_options.max_concurrent_jobs = kJobs;  // all admitted at once: queue ~ 0
-  service_options.trace_path = trace_path;
+  service_options.trace_sink = &sink;
 
   std::vector<std::unique_ptr<Measurer>> measurers;
   std::vector<std::unique_ptr<GbdtCostModel>> models;
@@ -166,11 +168,12 @@ TEST(TelemetryService, SpanDurationsSumToReportedTurnaround) {
           MakeJob(j, kRounds, measurers.back().get(), models.back().get())));
     }
     service.WaitAll();
-    service.Shutdown();  // flushes the trace file
+    service.Shutdown();  // every job is terminal: the trace is complete
   }
+  ASSERT_TRUE(sink.SaveToFile(trace_file));
 
   std::vector<TraceEvent> events;
-  ASSERT_TRUE(TraceSink::LoadFromFile(trace_path, &events));
+  ASSERT_TRUE(TraceSink::LoadFromFile(trace_file, &events));
   ASSERT_FALSE(events.empty());
   TraceReport folded = FoldEvents(events);
   ASSERT_EQ(folded.jobs.size(), static_cast<size_t>(kJobs));
@@ -199,7 +202,36 @@ TEST(TelemetryService, SpanDurationsSumToReportedTurnaround) {
   }
   // The folded report renders without blowing up.
   EXPECT_NE(RenderReport(folded).find("per-phase totals"), std::string::npos);
-  std::remove(trace_path.c_str());
+  std::remove(trace_file.c_str());
+}
+
+// The first pinned piece of the metric-name schema: the snapshot refreshes
+// the mirrored fleet gauges, so a tagged job with a record store and a trace
+// sink yields every one of them beside the live store and measurer gauges.
+TEST(TelemetryService, MetricsSnapshotJsonCarriesFleetGauges) {
+  TraceSink sink;
+  RecordStore store;
+  TuningServiceOptions service_options;
+  service_options.num_workers = 2;
+  service_options.record_store = &store;
+  service_options.trace_sink = &sink;
+
+  Measurer measurer(MachineModel::IntelCpu20Core());
+  GbdtCostModel model;
+  TuningService service(service_options);
+  JobHandle handle = service.Submit(MakeJob(0, /*rounds=*/2, &measurer, &model));
+  service.WaitAll();
+  ASSERT_EQ(handle.report().status, JobStatus::kCompleted);
+
+  std::string json = service.MetricsSnapshotJson();
+  for (const char* name :
+       {"service.shared_caches", "service.shared_cache.hits", "service.shared_cache.misses",
+        "service.shared_cache.evictions", "service.shared_cache.cross_client_hits",
+        "service.shared_cache.warm_inserts", "service.warm_start.loaded", "trace.spans",
+        "store.appended", "measurer.trials"}) {
+    EXPECT_NE(json.find("\"name\":\"" + std::string(name) + "\""), std::string::npos)
+        << name << " missing from " << json;
+  }
 }
 
 TEST(TelemetryService, DeterminismBitIdenticalWithTracingOnAndOff) {

@@ -4,6 +4,13 @@
 #ifndef ANSOR_TESTS_TESTING_H_
 #define ANSOR_TESTS_TESTING_H_
 
+#include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/dag/compute_dag.h"
@@ -80,6 +87,58 @@ inline ComputeDAG MatrixNorm(int64_t n = 8, int64_t m = 64) {
     return CallIntrinsic(Intrinsic::kSqrt, {s(i[0])});
   });
   return ComputeDAG({a, s, nrm});
+}
+
+// Scope guard for the interrupted-save tests: ignores SIGXFSZ, so a write
+// past RLIMIT_FSIZE fails with EFBIG instead of killing the process, and
+// restores both the limit and the signal disposition on exit.
+class FileSizeLimitGuard {
+ public:
+  FileSizeLimitGuard() : old_handler_(::signal(SIGXFSZ, SIG_IGN)) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+  }
+  ~FileSizeLimitGuard() {
+    Lift();
+    ::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimitGuard(const FileSizeLimitGuard&) = delete;
+  FileSizeLimitGuard& operator=(const FileSizeLimitGuard&) = delete;
+
+  // The kernel refuses every write past `bytes` in any file: a real cut,
+  // with no failpoint in the code under test.
+  void Cap(size_t bytes) {
+    rlimit capped = saved_;
+    capped.rlim_cur = std::min<rlim_t>(bytes, saved_.rlim_max);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  }
+  void Lift() { ::setrlimit(RLIMIT_FSIZE, &saved_); }
+
+ private:
+  sighandler_t old_handler_;
+  rlimit saved_{};
+};
+
+// Cuts a save at every byte offset of the `new_size`-byte file it writes to
+// `path`: for each limit in [0, new_size), save_new() must return false,
+// loads_old() must find exactly the state saved before, and no
+// "<path>.tmp" may be left behind. The limit is lifted before each check.
+template <typename SaveNew, typename LoadsOld>
+void ExpectEveryCutSaveKeepsOldFile(const std::string& path, size_t new_size,
+                                    SaveNew save_new, LoadsOld loads_old) {
+  FileSizeLimitGuard guard;
+  const std::string tmp = path + ".tmp";
+  for (size_t limit = 0; limit < new_size; ++limit) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    guard.Cap(limit);
+    bool saved = save_new();
+    guard.Lift();
+    EXPECT_FALSE(saved);
+    EXPECT_TRUE(loads_old());
+    EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << tmp << " left behind";
+    if (::testing::Test::HasFailure()) {
+      return;  // the first cut that breaks the guarantee is enough
+    }
+  }
 }
 
 }  // namespace testing

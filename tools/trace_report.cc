@@ -3,9 +3,10 @@
 //
 // Usage: trace_report <trace.jsonl> [more.jsonl ...]
 //
-// The input is the file written via TuningServiceOptions::trace_path (or
-// TraceSink::SaveToFile). Multiple files are folded together, which is how
-// a fleet of service processes rolls up into one report.
+// The input is a file written by TraceSink::SaveToFile, typically the sink a
+// caller passed as TuningServiceOptions::trace_sink. Multiple files are
+// folded together, which is how a fleet of service processes rolls up into
+// one report.
 #include <cstdio>
 #include <string>
 #include <vector>
