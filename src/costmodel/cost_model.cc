@@ -54,32 +54,32 @@ void GbdtCostModel::Update(uint64_t task_id,
     if (program_features[i].empty()) {
       continue;  // failed lowering: nothing to learn from
     }
-    samples_.push_back(program_features[i]);
-    labels_raw_.push_back(std::max(0.0, throughputs[i]));
-    task_ids_.push_back(task_id);
-    double& best = task_best_[task_id];
-    best = std::max(best, throughputs[i]);
+    AddSample(task_id, program_features[i], throughputs[i]);
   }
   Retrain();
   CountTrain();
   BumpVersion();  // invalidates stage-score memos on cached artifacts
 }
 
+void GbdtCostModel::AddSample(uint64_t task_id, const FeatureMatrix& features,
+                              double throughput) {
+  data_.AddProgram(features);
+  labels_raw_.push_back(std::max(0.0, throughput));
+  task_ids_.push_back(task_id);
+  double& best = task_best_[task_id];
+  best = std::max(best, throughput);
+}
+
 void GbdtCostModel::Retrain() {
-  GbdtDataset data;
-  for (size_t p = 0; p < samples_.size(); ++p) {
-    double best = task_best_[task_ids_[p]];
-    double label = best > 0.0 ? labels_raw_[p] / best : 0.0;
-    int group = static_cast<int>(data.labels.size());
-    data.labels.push_back(label);
+  for (int p = 0; p < data_.num_programs(); ++p) {
+    double best = task_best_[task_ids_[static_cast<size_t>(p)]];
+    double label = best > 0.0 ? labels_raw_[static_cast<size_t>(p)] / best : 0.0;
     // Weighted squared error with the (normalized) throughput as the weight;
     // failed programs keep a small weight so the model learns to avoid them.
-    data.weights.push_back(std::max(label, 0.1));
-    data.rows.AppendMatrix(samples_[p]);  // one block copy per program
-    data.group.insert(data.group.end(), samples_[p].rows(), group);
+    data_.SetTarget(p, label, std::max(label, 0.1));
   }
   model_ = Gbdt(params_);
-  model_.Train(data);
+  model_.Train(data_);
 }
 
 TrainFromStoreStats GbdtCostModel::TrainFromStore(const RecordStore& records,
@@ -98,11 +98,7 @@ TrainFromStoreStats GbdtCostModel::TrainFromStore(const RecordStore& records,
     double throughput = record.throughput > 0.0
                             ? record.throughput
                             : (record.seconds > 0.0 ? 1.0 / record.seconds : 0.0);
-    samples_.push_back(artifact->features);
-    labels_raw_.push_back(std::max(0.0, throughput));
-    task_ids_.push_back(record.task_id);
-    double& best = task_best_[record.task_id];
-    best = std::max(best, throughput);
+    AddSample(record.task_id, artifact->features, throughput);
     ++stats.used;
   }
   if (stats.used > 0) {
@@ -133,11 +129,12 @@ std::string GbdtCostModel::Serialize() const {
   StringTable strings;
   ByteWriter body;
   model_.EncodeTo(&body);
-  body.PutVarint(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    EncodeFeatureMatrix(samples_[i], &strings, &body);
-    body.PutF64(labels_raw_[i]);
-    body.PutU64(task_ids_[i]);
+  body.PutVarint(labels_raw_.size());
+  for (int p = 0; p < data_.num_programs(); ++p) {
+    EncodeFeatureRows(data_.rows(), data_.program_begin(p), data_.program_begin(p + 1),
+                      &strings, &body);
+    body.PutF64(labels_raw_[static_cast<size_t>(p)]);
+    body.PutU64(task_ids_[static_cast<size_t>(p)]);
   }
   // task_best_ in sorted task order: identical state must serialize to
   // identical bytes regardless of hash-map iteration order.
@@ -174,10 +171,9 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
   if (!r.ok() || num_samples > kMaxModelSamples) {
     return false;
   }
-  std::vector<FeatureMatrix> samples;
+  GbdtDataset data;
   std::vector<double> labels;
   std::vector<uint64_t> task_ids;
-  samples.reserve(num_samples);
   labels.reserve(num_samples);
   task_ids.reserve(num_samples);
   for (uint64_t i = 0; i < num_samples; ++i) {
@@ -187,10 +183,12 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
     }
     double label = r.GetF64();
     uint64_t task = r.GetU64();
-    if (!r.ok() || !std::isfinite(label) || label < 0.0) {
+    // Every sample is a measured program: non-empty, with the first's width.
+    if (!r.ok() || !std::isfinite(label) || label < 0.0 || m.empty() ||
+        (i > 0 && m.dim() != data.rows().dim())) {
       return false;
     }
-    samples.push_back(std::move(m));
+    data.AddProgram(m);
     labels.push_back(label);
     task_ids.push_back(task);
   }
@@ -212,7 +210,7 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
   }
   params_ = model.params();
   model_ = std::move(model);
-  samples_ = std::move(samples);
+  data_ = std::move(data);
   labels_raw_ = std::move(labels);
   task_ids_ = std::move(task_ids);
   task_best_ = std::move(bests);

@@ -5,6 +5,12 @@
 // the range of [0, 1]." The model accumulates measurement records across
 // tasks and retrains on every update.
 //
+// GbdtCostModel keeps one persistent GbdtDataset, its only copy of the
+// training data. Update, TrainFromStore and Deserialize append programs to
+// it; each retrain recomputes just the per-program labels and weights (task
+// bests move) and trains from scratch on the dataset as it stands, so a
+// model equals one trained once over the same programs in the same order.
+//
 // All entry points speak FeatureMatrix — the flat row-major features cached
 // on ProgramArtifacts. A model implements program scoring once, in
 // PredictBatch over borrowed matrices, and statement scoring once, in
@@ -160,11 +166,15 @@ class GbdtCostModel : public CostModel {
  private:
   void Retrain();
 
+  // Appends one measured program to the training data.
+  void AddSample(uint64_t task_id, const FeatureMatrix& features, double throughput);
+
   GbdtParams params_;
   Gbdt model_;
-  // Accumulated training data: one feature matrix per measured program.
-  std::vector<FeatureMatrix> samples_;
-  std::vector<double> labels_raw_;  // raw throughput
+  // Accumulated training data: program p of data_ was measured at
+  // labels_raw_[p] FLOPS on task task_ids_[p].
+  GbdtDataset data_;
+  std::vector<double> labels_raw_;
   std::vector<uint64_t> task_ids_;
   std::unordered_map<uint64_t, double> task_best_;
 };

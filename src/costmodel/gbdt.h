@@ -8,21 +8,34 @@
 // matter more. We implement the same objective: per-row gradients derive from
 // the program-level residual, trees use histogram-based greedy splits.
 //
-// Training bins every feature once (per-feature quantile edges, at most
-// max_bins bins). The split search then works on a row-major matrix of
-// histogram slot ids over the *kept* columns only: constant columns are
-// dropped, and so is every column whose binned values and bin count equal an
-// earlier kept column's (such as an exact copy, or a copy scaled by 2). Per
-// node, one pass over the node's rows in ascending order adds each row's
-// gradient and hessian to one (g, h) slot per kept column; the columns are
-// then scanned in feature order. Contract: the trees are bit-identical to a
-// per-feature histogram search over all columns. Each (feature, bin) sum adds
-// the same doubles in the same row order, the gain formula and the strict
-// `gain > best + min_gain` rule are unchanged, and a dropped duplicate's gains
-// can never beat a best gain that has already seen them, because with
-// min_gain >= 0 the running best never decreases (Train() CHECKs
-// min_gain >= 0). Training is single-threaded: a node's histogram is tens of
-// microseconds of work, less than a thread-pool dispatch costs.
+// Training works on one persistent GbdtDataset. Programs are appended, never
+// rewritten, and the dataset keeps each feature's distinct values sorted as
+// rows arrive, so binning derives every feature's quantile edges (at most
+// max_bins bins) without sorting a column. A row goes to bin b when
+// edges[b-1] < x <= edges[b]: the split "bin <= b" is exactly the test
+// `x <= threshold` that inference applies, with threshold = edges[b].
+//
+// The split search works on a row-major matrix of histogram slot ids over
+// the *kept* columns only: constant columns are dropped, and so is every
+// column whose binned values and bin count equal an earlier kept column's
+// (such as an exact copy, or a copy scaled by 2). Each tree quantizes the
+// rows' gradients and hessians to int64 fixed point, g and h each with its
+// own power-of-two scale sized so that no sum over all rows can overflow.
+// The split search's node totals and histogram cells are integer sums:
+// exact, and independent of the order rows are added in. A node's histogram is built at most once:
+// a split accumulates the smaller child, and the larger child is the parent
+// minus it. The scan visits the columns in feature order and skips empty
+// bins (h == 0), whose gain equals the gain of the bin before them.
+//
+// Contract: the split chosen at a node is the first (feature, bin), in
+// feature and bin order, whose gain beats the best so far by the strict
+// `gain > best + min_gain`, over all columns. Dropped duplicates and skipped
+// empty bins cannot change it: identical integer sums give identical gains,
+// and with min_gain >= 0 (Train() CHECKs it) a gain equal to one already
+// seen never wins. A node's value is the Newton step -g / (h + lambda) over
+// its rows' unquantized gradients, summed in ascending row order.
+// Training is single-threaded: a node's histogram is tens of microseconds
+// of work, less than a thread-pool dispatch costs.
 #ifndef ANSOR_SRC_COSTMODEL_GBDT_H_
 #define ANSOR_SRC_COSTMODEL_GBDT_H_
 
@@ -46,8 +59,8 @@ struct GbdtParams {
   int max_bins = 32;
   int min_rows_per_leaf = 4;
   // Minimum gain improvement for a split. Must be >= 0: duplicate feature
-  // columns are dropped before the split search, which is exact only because
-  // the best gain then never decreases. Train() CHECKs this bound.
+  // columns and empty bins are skipped by the split search, which is exact
+  // only because the best gain then never decreases. Train() CHECKs this.
   double min_gain = 1e-6;
 };
 
@@ -65,14 +78,34 @@ struct Tree {
   double PredictRow(const std::vector<float>& row) const { return PredictRow(row.data()); }
 };
 
-// A training set where rows are statements grouped into programs.
-struct GbdtDataset {
-  FeatureMatrix rows;          // statement feature rows (flat, row-major)
-  std::vector<int> group;      // row i belongs to program group[i]
-  std::vector<double> labels;  // per-program target (normalized throughput)
-  std::vector<double> weights; // per-program weight
+// A training set where rows are statements grouped into programs. Programs
+// are only appended: each owns a contiguous row range, and AddProgram merges
+// its values into every feature's sorted list of distinct values (-0.0 and
+// +0.0 are one value, stored as +0.0). Labels and weights are per program
+// and may be reset before every Train; rows never change.
+class GbdtDataset {
+ public:
+  // Appends a non-empty program as program num_programs(), with label 0
+  // and weight 1. Every program must have the first program's dim().
+  void AddProgram(const FeatureMatrix& rows);
+  // Sets program `p`'s target (normalized throughput) and loss weight.
+  void SetTarget(int p, double label, double weight);
 
-  int num_programs() const { return static_cast<int>(labels.size()); }
+  int num_programs() const { return static_cast<int>(labels_.size()); }
+  const FeatureMatrix& rows() const { return rows_; }
+  // Program p owns rows [program_begin(p), program_begin(p + 1)).
+  size_t program_begin(int p) const { return program_begin_[static_cast<size_t>(p)]; }
+  double label(int p) const { return labels_[static_cast<size_t>(p)]; }
+  double weight(int p) const { return weights_[static_cast<size_t>(p)]; }
+  // Sorted distinct values of `feature` over all rows.
+  const std::vector<float>& values(size_t feature) const { return values_[feature]; }
+
+ private:
+  FeatureMatrix rows_;
+  std::vector<size_t> program_begin_ = {0};
+  std::vector<double> labels_;
+  std::vector<double> weights_;
+  std::vector<std::vector<float>> values_;
 };
 
 class Gbdt {
@@ -81,7 +114,9 @@ class Gbdt {
 
   // Trains from scratch on the dataset (sum-over-group objective). Histogram
   // slot ids are uint16_t: the kept columns' bins may total at most 65536
-  // (any dataset of up to 256 features), else Train() CHECK-fails.
+  // (any dataset of up to 256 features), else Train() CHECK-fails. Labels
+  // must be finite, and weights positive and close enough in scale that
+  // every row's hessian quantizes to a positive integer (CHECKed per tree).
   void Train(const GbdtDataset& data);
 
   bool trained() const { return !trees_.empty(); }

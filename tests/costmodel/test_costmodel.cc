@@ -24,18 +24,18 @@ GbdtDataset MakeSyntheticDataset(int n_programs, int rows_per_program, Rng* rng)
   GbdtDataset data;
   for (int p = 0; p < n_programs; ++p) {
     double label = 0.0;
+    FeatureMatrix program;
     for (int r = 0; r < rows_per_program; ++r) {
       std::vector<float> row(8, 0.0f);
       for (auto& v : row) {
         v = static_cast<float>(rng->Uniform());
       }
       label += 0.6 * row[0] + 0.4 * row[3];
-      data.rows.AppendRow(row);
-      data.group.push_back(p);
+      program.AppendRow(row);
     }
     label /= rows_per_program;
-    data.labels.push_back(label);
-    data.weights.push_back(std::max(label, 0.1));
+    data.AddProgram(program);
+    data.SetTarget(p, label, std::max(label, 0.1));
   }
   return data;
 }
@@ -55,15 +55,13 @@ TEST(Gbdt, LearnsSyntheticFunction) {
   GbdtDataset test = MakeSyntheticDataset(100, 2, &rng);
   std::vector<double> preds;
   std::vector<double> truth;
-  size_t row = 0;
   for (int p = 0; p < test.num_programs(); ++p) {
     std::vector<std::vector<float>> rows;
-    while (row < test.rows.rows() && test.group[row] == p) {
-      rows.emplace_back(test.rows.row(row), test.rows.row(row) + test.rows.dim());
-      ++row;
+    for (size_t row = test.program_begin(p); row < test.program_begin(p + 1); ++row) {
+      rows.emplace_back(test.rows().row(row), test.rows().row(row) + test.rows().dim());
     }
     preds.push_back(model.PredictProgram(rows));
-    truth.push_back(test.labels[static_cast<size_t>(p)]);
+    truth.push_back(test.label(p));
   }
   double acc = PairwiseComparisonAccuracy(preds, truth);
   EXPECT_GT(acc, 0.85) << "GBDT failed to learn a simple linear ranking";
@@ -87,10 +85,8 @@ TEST(Gbdt, WeightedLossPrioritizesFastPrograms) {
     std::vector<float> row(4, 0.0f);
     row[0] = static_cast<float>(rng.Uniform());
     double label = 0.7 + 0.3 * row[0];  // fast cluster
-    data.rows.AppendRow(row);
-    data.group.push_back(p);
-    data.labels.push_back(label);
-    data.weights.push_back(label);
+    data.AddProgram(FeatureMatrix::FromRows({row}));
+    data.SetTarget(p, label, label);
     ++p;
   }
   Gbdt model;
@@ -134,6 +130,7 @@ GbdtDataset MakeGoldenDataset() {
   for (int p = 0; p < 90; ++p) {
     int n_rows = 1 + p % 3;
     double label = 0.0;
+    FeatureMatrix program;
     for (int r = 0; r < n_rows; ++r) {
       std::vector<float> row(9);
       row[0] = static_cast<float>(rng.Uniform());
@@ -146,11 +143,10 @@ GbdtDataset MakeGoldenDataset() {
       row[7] = static_cast<float>(rng.Uniform());
       row[8] = rng.Uniform() < 0.3 ? 1.0f : 0.0f;
       label += 0.5 * row[0] + 0.1 * row[1] - 0.3 * row[4] * row[7] + 0.2 * row[8];
-      data.rows.AppendRow(row);
-      data.group.push_back(p);
+      program.AppendRow(row);
     }
-    data.labels.push_back(label / n_rows);
-    data.weights.push_back(0.1 + rng.Uniform());
+    data.AddProgram(program);
+    data.SetTarget(p, label / n_rows, 0.1 + rng.Uniform());
   }
   return data;
 }
@@ -158,8 +154,10 @@ GbdtDataset MakeGoldenDataset() {
 // One feature matrix per program of `data`.
 std::vector<FeatureMatrix> ProgramsOf(const GbdtDataset& data) {
   std::vector<FeatureMatrix> programs(static_cast<size_t>(data.num_programs()));
-  for (size_t i = 0; i < data.rows.rows(); ++i) {
-    programs[static_cast<size_t>(data.group[i])].AppendRow(data.rows.row(i), data.rows.dim());
+  for (int p = 0; p < data.num_programs(); ++p) {
+    for (size_t i = data.program_begin(p); i < data.program_begin(p + 1); ++i) {
+      programs[static_cast<size_t>(p)].AppendRow(data.rows().row(i), data.rows().dim());
+    }
   }
   return programs;
 }
@@ -181,10 +179,11 @@ uint64_t HashOf(const std::vector<double>& scores) {
 TEST(Gbdt, TrainingIsBitExactGolden) {
   // Pins the trainer's output bit for bit. Any rewrite of binning or the
   // split search must reproduce these trees exactly: the search trajectory
-  // of every fixed-seed tuning run depends on them.
+  // of every fixed-seed tuning run depends on them. The trees train a row
+  // equal to a quantile edge into the left child, as inference routes it.
   Gbdt model;
   model.Train(MakeGoldenDataset());
-  EXPECT_EQ(HashOf(EncodedBytes(model)), 0x42994b48b78c6fa2ULL);
+  EXPECT_EQ(HashOf(EncodedBytes(model)), 0x573d25e31106b6f1ULL);
   ASSERT_EQ(model.trees().size(), 50u);
   EXPECT_EQ(model.base_score(), 0x1.075c28b3faa3ep-1);
   const std::vector<TreeNode>& first = model.trees()[0].nodes;
@@ -196,8 +195,8 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
   EXPECT_EQ(first[9].feature, 8);
   EXPECT_EQ(first[9].threshold, 0x1p-1f);  // the two-valued column
   EXPECT_EQ(first[3].value, -0x1.dbc0d7a054b25p-6);
-  EXPECT_EQ(first[7].value, -0x1.1050ed075c585p-2);
-  EXPECT_EQ(model.trees().back().nodes[0].value, 0x1.c288c85a33e9p-15);
+  EXPECT_EQ(first[7].value, -0x1.0e3dd8d7de131p-2);
+  EXPECT_EQ(model.trees().back().nodes[0].value, 0x1.f14d0a79ee03dp-13);
 
   // With min_gain = 0 an empty bin ties with the bin before it; the strict
   // `gain > best` keeps the first of tied splits.
@@ -205,7 +204,7 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
   ties.min_gain = 0.0;
   Gbdt tied(ties);
   tied.Train(MakeGoldenDataset());
-  EXPECT_EQ(HashOf(EncodedBytes(tied)), 0x643fe2f381f82c36ULL);
+  EXPECT_EQ(HashOf(EncodedBytes(tied)), 0xa2a48fef7c49bc7bULL);
 
   // The cost model's full state after three updates over two tasks.
   std::vector<FeatureMatrix> programs = ProgramsOf(MakeGoldenDataset());
@@ -218,7 +217,7 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
     }
     cost_model.Update(/*task_id=*/u == 1 ? 2 : 1, batch, throughputs);
   }
-  EXPECT_EQ(HashOf(cost_model.Serialize()), 0xa64c18fcac0e1828ULL);
+  EXPECT_EQ(HashOf(cost_model.Serialize()), 0x41ad7bb1c9046874ULL);
 
   // Every prediction entry point's raw score bytes on that model, plus the
   // random model's draw order and both models' prediction counters. The
@@ -233,7 +232,7 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
   std::vector<double> scores = cost_model.PredictBatch(ptrs);
   ASSERT_EQ(scores.size(), 91u);
   EXPECT_EQ(scores[45], CostModel::kInvalidScore);
-  EXPECT_EQ(HashOf(scores), 0x1d0826004c921507ULL);
+  EXPECT_EQ(HashOf(scores), 0x723adddfb3d212d5ULL);
 
   std::vector<double> statement_scores;
   std::vector<std::vector<double>> per_program = cost_model.PredictStatementsBatch(ptrs);
@@ -242,7 +241,7 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
     ASSERT_EQ(per_program[p].size(), programs[p].rows()) << "program " << p;
     statement_scores.insert(statement_scores.end(), per_program[p].begin(), per_program[p].end());
   }
-  EXPECT_EQ(HashOf(statement_scores), 0x7f6bc049b86e9359ULL);
+  EXPECT_EQ(HashOf(statement_scores), 0x1dcc6173bf8fceacULL);
   EXPECT_EQ(cost_model.programs_predicted(), 182);
 
   RandomCostModel random(7);
@@ -263,12 +262,16 @@ TEST(Gbdt, DuplicateColumnsNeverChangeTrees) {
   // Column 7 has quantile edges; column 4 has one bin per distinct value.
   for (size_t source : {size_t{7}, size_t{4}}) {
     for (float scale : {1.0f, 2.0f}) {
-      GbdtDataset data = base;
-      data.rows = FeatureMatrix();
-      for (size_t i = 0; i < base.rows.rows(); ++i) {
-        std::vector<float> row(base.rows.row(i), base.rows.row(i) + base.rows.dim());
-        row.push_back(scale * row[source]);
-        data.rows.AppendRow(row);
+      GbdtDataset data;
+      for (int p = 0; p < base.num_programs(); ++p) {
+        FeatureMatrix program;
+        for (size_t i = base.program_begin(p); i < base.program_begin(p + 1); ++i) {
+          std::vector<float> row(base.rows().row(i), base.rows().row(i) + base.rows().dim());
+          row.push_back(scale * row[source]);
+          program.AppendRow(row);
+        }
+        data.AddProgram(program);
+        data.SetTarget(p, base.label(p), base.weight(p));
       }
       Gbdt model;
       model.Train(data);
@@ -276,6 +279,116 @@ TEST(Gbdt, DuplicateColumnsNeverChangeTrees) {
           << "source " << source << " scale " << scale;
     }
   }
+}
+
+TEST(Gbdt, RowOnQuantileEdgeTrainsTheBranchItPredicts) {
+  // 100 distinct values exceed max_bins, so every split threshold is a
+  // quantile edge: a data value. The programs with x <= 50 are the fast
+  // ones, and 50 is an edge. A stump's left leaf must be the Newton step
+  // over exactly the rows inference sends left, the row x == 50 included.
+  GbdtParams params;
+  params.num_trees = 1;
+  params.max_depth = 1;
+  GbdtDataset data;
+  for (int p = 0; p < 100; ++p) {
+    data.AddProgram(FeatureMatrix::FromRows({{static_cast<float>(p)}}));
+    data.SetTarget(p, p <= 50 ? 1.0 : 0.0, 1.0);
+  }
+  Gbdt model(params);
+  model.Train(data);
+  ASSERT_EQ(model.trees().size(), 1u);
+  const std::vector<TreeNode>& stump = model.trees()[0].nodes;
+  ASSERT_EQ(stump.size(), 3u);
+  float threshold = stump[0].threshold;
+  EXPECT_EQ(threshold, 50.0f);
+  double g = 0.0;
+  double h = 0.0;
+  for (int p = 0; p < 100; ++p) {
+    if (static_cast<float>(p) <= threshold) {
+      g += 2.0 * 1.0 * (model.base_score() - data.label(p));
+      h += 2.0 * 1.0;
+    }
+  }
+  double left = stump[static_cast<size_t>(stump[0].left)].value;
+  EXPECT_EQ(left, -g / (h + params.lambda));
+  EXPECT_EQ(model.PredictRow({threshold}), params.learning_rate * left);
+}
+
+// Whether every threshold and value of every tree is finite.
+bool AllFinite(const Gbdt& model) {
+  for (const Tree& tree : model.trees()) {
+    for (const TreeNode& node : tree.nodes) {
+      if (!std::isfinite(node.threshold) || !std::isfinite(node.value)) {
+        return false;
+      }
+    }
+  }
+  return std::isfinite(model.base_score());
+}
+
+TEST(Gbdt, FixedPointSumsAtExtremeScales) {
+  Rng rng(5);
+  // Zero residuals: every label is the base score, so every gradient
+  // quantizes to 0 and the first tree, a zero stump, ends training.
+  GbdtDataset flat = MakeSyntheticDataset(40, 2, &rng);
+  for (int p = 0; p < flat.num_programs(); ++p) {
+    flat.SetTarget(p, 0.25, 1.0);
+  }
+  Gbdt zero;
+  zero.Train(flat);
+  EXPECT_TRUE(AllFinite(zero));
+  ASSERT_EQ(zero.trees().size(), 1u);
+  EXPECT_EQ(zero.trees()[0].nodes.size(), 1u);
+  EXPECT_EQ(zero.PredictRow(flat.rows().row(0)), 0.0);
+
+  // Labels and weights spanning 1e-6 to 1e6: hessians twelve decades apart
+  // still quantize to positive integers, and no sum overflows.
+  GbdtDataset wide = MakeSyntheticDataset(200, 2, &rng);
+  for (int p = 0; p < wide.num_programs(); ++p) {
+    wide.SetTarget(p, std::pow(10.0, -6.0 + 12.0 * rng.Uniform()),
+                   std::pow(10.0, -6.0 + 12.0 * rng.Uniform()));
+  }
+  wide.SetTarget(0, 1e-6, 1e6);
+  wide.SetTarget(1, 1e6, 1e-6);
+  Gbdt spread;
+  spread.Train(wide);
+  EXPECT_GT(spread.trees().size(), 1u);
+  EXPECT_TRUE(AllFinite(spread));
+
+  // A single row: the root is a leaf whose value fits the label exactly.
+  GbdtDataset one;
+  one.AddProgram(FeatureMatrix::FromRows({{1.0f, -2.0f}}));
+  one.SetTarget(0, 3.0, 0.5);
+  Gbdt single;
+  single.Train(one);
+  EXPECT_TRUE(AllFinite(single));
+  EXPECT_EQ(single.PredictProgram({{1.0f, -2.0f}}), 3.0);
+
+  // A column mixing -0.0 and +0.0 trains the trees of the same column with
+  // only +0.0. With 64 distinct values, 0 is a quantile edge and the root's
+  // threshold: it must be +0.0.
+  GbdtDataset mixed;
+  GbdtDataset positive;
+  for (int p = 0; p < 128; ++p) {
+    float x = static_cast<float>(p % 64 - 32);
+    float noise = static_cast<float>(rng.Uniform());
+    double label = (x <= 0.0f ? 1.0 : 0.2) + 0.1 * noise;
+    mixed.AddProgram(FeatureMatrix::FromRows({{p == 32 ? -0.0f : x, noise}}));
+    positive.AddProgram(FeatureMatrix::FromRows({{x, noise}}));
+    mixed.SetTarget(p, label, 1.0);
+    positive.SetTarget(p, label, 1.0);
+  }
+  EXPECT_TRUE(std::signbit(mixed.rows().at(32, 0)));
+  Gbdt mixed_model;
+  mixed_model.Train(mixed);
+  Gbdt positive_model;
+  positive_model.Train(positive);
+  EXPECT_TRUE(AllFinite(mixed_model));
+  EXPECT_EQ(EncodedBytes(mixed_model), EncodedBytes(positive_model));
+  const TreeNode& root = mixed_model.trees()[0].nodes[0];
+  EXPECT_EQ(root.feature, 0);
+  EXPECT_EQ(root.threshold, 0.0f);
+  EXPECT_FALSE(std::signbit(root.threshold));
 }
 
 TEST(CostModelTest, GbdtModelRanksAfterUpdate) {
@@ -602,6 +715,83 @@ TEST(CostModelTest, TrainFromStoreMatchesLiveUpdates) {
   EXPECT_EQ(stats.missing_features, 0u);
   EXPECT_EQ(transfer.num_samples(), live.num_samples());
   EXPECT_EQ(transfer.Predict(features), live.Predict(features));  // bit-identical
+}
+
+TEST(GbdtCostModel, IncrementalUpdatesMatchOneShotTraining) {
+  // Three batches over two tasks. Each task's best throughput is 4e9, so
+  // every label is the same whether the programs arrive in three Updates,
+  // in one Update over their union, or partly through a saved model or the
+  // stores: each way must train the same trees, bit for bit.
+  Rng rng(33);
+  std::vector<std::vector<FeatureMatrix>> batches(3);
+  std::vector<std::vector<double>> throughputs(3);
+  for (int b = 0; b < 3; ++b) {
+    for (int i = 0; i < 12; ++i) {
+      FeatureMatrix m;
+      int n_rows = 1 + i % 3;
+      for (int r = 0; r < n_rows; ++r) {
+        std::vector<float> row(8);
+        for (auto& v : row) {
+          v = std::floor(static_cast<float>(rng.Uniform()) * 50.0f) / 50.0f;
+        }
+        m.AppendRow(row);
+      }
+      batches[static_cast<size_t>(b)].push_back(std::move(m));
+      throughputs[static_cast<size_t>(b)].push_back(i == 0 ? 4e9 : 1e9 + 3e9 * rng.Uniform());
+    }
+  }
+  const uint64_t tasks[3] = {1, 2, 1};
+
+  GbdtCostModel incremental;
+  for (size_t b = 0; b < 3; ++b) {
+    incremental.Update(tasks[b], batches[b], throughputs[b]);
+  }
+  std::string expected = EncodedBytes(incremental.gbdt());
+  ASSERT_GT(incremental.gbdt().trees().size(), 1u);
+
+  GbdtCostModel one_shot;
+  std::vector<FeatureMatrix> all;
+  std::vector<double> all_throughputs;
+  for (size_t b = 0; b < 3; ++b) {
+    all.insert(all.end(), batches[b].begin(), batches[b].end());
+    all_throughputs.insert(all_throughputs.end(), throughputs[b].begin(), throughputs[b].end());
+  }
+  one_shot.Update(/*task_id=*/1, all, all_throughputs);
+  EXPECT_EQ(EncodedBytes(one_shot.gbdt()), expected);
+
+  GbdtCostModel saved;
+  saved.Update(tasks[0], batches[0], throughputs[0]);
+  saved.Update(tasks[1], batches[1], throughputs[1]);
+  GbdtCostModel loaded;
+  ASSERT_TRUE(loaded.Deserialize(saved.Serialize()));
+  loaded.Update(tasks[2], batches[2], throughputs[2]);
+  EXPECT_EQ(EncodedBytes(loaded.gbdt()), expected);
+
+  // The first two batches as a fleet's stores: one record and one artifact
+  // per program, told apart by their steps.
+  RecordStore records;
+  ArtifactStore artifacts;
+  for (size_t b = 0; b < 2; ++b) {
+    for (size_t i = 0; i < batches[b].size(); ++i) {
+      std::vector<Step> steps = {MakeSplitStep("C", 0, {static_cast<int64_t>(1 + 12 * b + i)})};
+      TuningRecord record;
+      record.task_id = tasks[b];
+      record.seconds = 1e-3;
+      record.throughput = throughputs[b][i];
+      record.steps = steps;
+      ASSERT_TRUE(records.Add(std::move(record)));
+      ArtifactSnapshot artifact;
+      artifact.task_id = tasks[b];
+      artifact.steps = steps;
+      artifact.lowering_ok = true;
+      artifact.features = batches[b][i];
+      ASSERT_TRUE(artifacts.Add(std::move(artifact)));
+    }
+  }
+  GbdtCostModel transfer;
+  EXPECT_EQ(transfer.TrainFromStore(records, artifacts).used, 24u);
+  transfer.Update(tasks[2], batches[2], throughputs[2]);
+  EXPECT_EQ(EncodedBytes(transfer.gbdt()), expected);
 }
 
 TEST(CostModelTest, TrainFromStoreCountsMissingFeatures) {
