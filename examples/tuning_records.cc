@@ -32,9 +32,8 @@ int main() {
     tuning.program_cache = &cache;
     ansor::TuneResult r = ansor::TuneTask(task, &measurer, &model, trials, 16, tuning);
 
-    // Records go to the compact binary codec (text stays readable via
-    // RecordCodec::kText, the legacy one-record-per-line format).
-    if (!store.SaveToFile(record_path, ansor::RecordCodec::kBinary)) {
+    // Records go to the compact binary container.
+    if (!store.SaveToFile(record_path)) {
       std::printf("failed to write %s\n", record_path.c_str());
       return 1;
     }

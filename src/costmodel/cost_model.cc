@@ -92,8 +92,8 @@ TrainFromStoreStats GbdtCostModel::TrainFromStore(const RecordStore& records,
       ++stats.missing_features;
       continue;
     }
-    // Live measurements persist their FLOPS throughput; legacy text records
-    // only carry seconds. 1/seconds differs from FLOPS by the task's
+    // Live measurements persist their FLOPS throughput; a record without
+    // one carries only seconds. 1/seconds differs from FLOPS by the task's
     // constant flop count, which the per-task normalization divides away.
     double throughput = record.throughput > 0.0
                             ? record.throughput
@@ -119,7 +119,6 @@ namespace {
 
 constexpr char kModelMagic[8] = {'A', 'N', 'S', 'R', 'G', 'B', 'M', '1'};
 constexpr size_t kModelMagicSize = sizeof(kModelMagic);
-constexpr uint64_t kMaxModelSamples = 1u << 28;
 
 }  // namespace
 
@@ -167,8 +166,8 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
   if (!model.DecodeFrom(&r, static_cast<int>(FeatureDim()))) {
     return false;
   }
-  uint64_t num_samples = r.GetVarint();
-  if (!r.ok() || num_samples > kMaxModelSamples) {
+  uint64_t num_samples = r.GetCount();
+  if (!r.ok()) {
     return false;
   }
   GbdtDataset data;
@@ -192,8 +191,8 @@ bool GbdtCostModel::Deserialize(const std::string& bytes) {
     labels.push_back(label);
     task_ids.push_back(task);
   }
-  uint64_t num_bests = r.GetVarint();
-  if (!r.ok() || num_bests > kMaxModelSamples) {
+  uint64_t num_bests = r.GetCount();
+  if (!r.ok()) {
     return false;
   }
   std::unordered_map<uint64_t, double> bests;

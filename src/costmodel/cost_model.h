@@ -149,7 +149,7 @@ class GbdtCostModel : public CostModel {
   // lifetimes): joins every stored TuningRecord against its persisted
   // feature matrix in `artifacts` (ArtifactStore::Find by task + step
   // signature) and retrains once over the union. Labels use the record's
-  // measured throughput; legacy records without one fall back to 1/seconds,
+  // measured throughput; records without one fall back to 1/seconds,
   // which the per-task normalization maps to the same [0, 1] labels for any
   // single task. Appends to existing training data, so the result equals
   // having Updated with the same samples live.

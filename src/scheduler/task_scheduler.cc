@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "src/support/util.h"
 
@@ -118,23 +117,6 @@ double TaskScheduler::NetworkLatency(int network_index) const {
 }
 
 double TaskScheduler::ObjectiveValue() const { return EvalObjective(CurrentLatencies()); }
-
-ProgramCacheStats TaskScheduler::AggregateProgramCacheStats() const {
-  ProgramCacheStats total;
-  // Tuners may share one injected cache; count each distinct cache once.
-  std::unordered_set<const ProgramCache*> seen;
-  for (const auto& tuner : tuners_) {
-    const ProgramCache* cache = &tuner->program_cache();
-    if (!seen.insert(cache).second) {
-      continue;
-    }
-    ProgramCacheStats s = cache->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
-  }
-  return total;
-}
 
 SearchPhaseTimes TaskScheduler::AggregatePhaseTimes() const {
   SearchPhaseTimes total;

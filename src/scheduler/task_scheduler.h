@@ -116,9 +116,6 @@ class TaskScheduler {
   // Task index of every allocated round, in order (the fixed-seed allocation
   // trace the determinism matrix and golden-trace tests compare).
   const std::vector<int>& allocation_trace() const { return allocation_trace_; }
-  // Sum of the per-task compiled-program cache counters (each tuner owns a
-  // task-lifetime ProgramCache; see SearchOptions::program_cache).
-  ProgramCacheStats AggregateProgramCacheStats() const;
   // Sum of the per-task phase attribution clocks (see TaskTuner::phase_times()).
   SearchPhaseTimes AggregatePhaseTimes() const;
   // (cumulative trials, objective value) after every allocation.

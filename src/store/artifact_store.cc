@@ -14,7 +14,6 @@ constexpr size_t kMagicSize = sizeof(kArtifactMagic);
 constexpr uint8_t kFlagLoweringOk = 1;
 constexpr uint8_t kFlagStructurallyLegal = 2;
 constexpr uint8_t kKnownFlags = kFlagLoweringOk | kFlagStructurallyLegal;
-constexpr uint64_t kMaxReasonableCount = 1u << 28;
 
 std::string StoreKey(uint64_t task_id, const std::string& signature) {
   return std::to_string(task_id) + '|' + signature;
@@ -55,9 +54,8 @@ bool DecodeSnapshot(ByteReader* r, const std::vector<std::string>& strings,
   }
   out->lowering_ok = (flags & kFlagLoweringOk) != 0;
   out->structurally_legal = (flags & kFlagStructurallyLegal) != 0;
-  uint64_t num_steps = r->GetVarint();
-  if (!r->ok() || num_steps > kMaxReasonableCount) {
-    r->Fail();
+  uint64_t num_steps = r->GetCount();
+  if (!r->ok()) {
     return false;
   }
   out->steps.reserve(num_steps);
@@ -71,9 +69,8 @@ bool DecodeSnapshot(ByteReader* r, const std::vector<std::string>& strings,
   if (!DecodeFeatureMatrix(r, strings, &out->features)) {
     return false;
   }
-  uint64_t num_verdicts = r->GetVarint();
-  if (!r->ok() || num_verdicts > kMaxReasonableCount) {
-    r->Fail();
+  uint64_t num_verdicts = r->GetCount();
+  if (!r->ok()) {
     return false;
   }
   out->resource_verdicts.reserve(num_verdicts);
@@ -199,8 +196,8 @@ ArtifactLoadStats ArtifactStore::Deserialize(const std::string& bytes) {
   if (!strings.Decode(&r)) {
     return stats;
   }
-  uint64_t count = r.GetVarint();
-  if (!r.ok() || count > kMaxReasonableCount) {
+  uint64_t count = r.GetCount();
+  if (!r.ok()) {
     return stats;
   }
   stats.ok = true;

@@ -49,12 +49,6 @@ void ByteWriter::PutRaw(const void* data, size_t n) {
   buf_.append(static_cast<const char*>(data), n);
 }
 
-void ByteWriter::PatchU32(size_t offset, uint32_t v) {
-  char bytes[4];
-  std::memcpy(bytes, &v, sizeof(v));
-  buf_.replace(offset, sizeof(bytes), bytes, sizeof(bytes));
-}
-
 bool ByteReader::Need(size_t n) {
   if (!ok_ || size_ - pos_ < n) {
     ok_ = false;
@@ -122,6 +116,15 @@ uint64_t ByteReader::GetVarint() {
   return 0;
 }
 
+uint64_t ByteReader::GetCount() {
+  uint64_t n = GetVarint();
+  if (n > remaining()) {
+    ok_ = false;
+    return 0;
+  }
+  return n;
+}
+
 int64_t ByteReader::GetZigzag() {
   uint64_t v = GetVarint();
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
@@ -150,14 +153,6 @@ void ByteReader::Skip(size_t n) {
   if (Need(n)) {
     pos_ += n;
   }
-}
-
-void ByteReader::Seek(size_t pos) {
-  if (pos > size_) {
-    ok_ = false;
-    return;
-  }
-  pos_ = pos;
 }
 
 uint64_t Fnv1a64(const char* data, size_t n) {

@@ -34,10 +34,6 @@ class ByteWriter {
   void PutString(const std::string& s);
   void PutRaw(const void* data, size_t n);
 
-  // Overwrites 4 bytes at `offset` (which must already exist) with `v`:
-  // used to backpatch length prefixes without a second buffer.
-  void PatchU32(size_t offset, uint32_t v);
-
   size_t size() const { return buf_.size(); }
   const std::string& buffer() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -64,14 +60,16 @@ class ByteReader {
   float GetF32();
   double GetF64();
   uint64_t GetVarint();
+  // A varint element count. Every encoded element takes at least one byte,
+  // so a count above remaining() is corrupt: it fails the reader (and reads
+  // as 0) before it can size an allocation.
+  uint64_t GetCount();
   int64_t GetZigzag();
   std::string GetString();
   // Copies n raw bytes into out (which must have room for n).
   void GetRaw(void* out, size_t n);
 
   void Skip(size_t n);
-  // Absolute reposition; fails the reader if past the end.
-  void Seek(size_t pos);
   // Marks the reader failed (codecs use this for semantic violations, e.g.
   // an out-of-range table reference).
   void Fail() { ok_ = false; }

@@ -8,11 +8,6 @@ namespace {
 constexpr uint8_t kMaxStepKind = static_cast<uint8_t>(StepKind::kPragma);
 constexpr uint8_t kMaxAnnotation = static_cast<uint8_t>(IterAnnotation::kVThread);
 
-// Hard cap on decoded element counts (steps per record, rows per matrix,
-// table sizes): a corrupted varint must not turn into a multi-gigabyte
-// allocation before the bounds check gets a chance to fire.
-constexpr uint64_t kMaxDecodedElements = 1u << 24;
-
 std::optional<std::string> LookupString(uint64_t ref,
                                         const std::vector<std::string>& strings,
                                         ByteReader* r) {
@@ -46,9 +41,8 @@ void StringTable::Encode(ByteWriter* w) const {
 bool StringTable::Decode(ByteReader* r) {
   strings_.clear();
   index_.clear();
-  uint64_t n = r->GetVarint();
-  if (!r->ok() || n > kMaxDecodedElements) {
-    r->Fail();
+  uint64_t n = r->GetCount();
+  if (!r->ok()) {
     return false;
   }
   strings_.reserve(n);
@@ -126,9 +120,8 @@ std::optional<Step> DecodeStep(ByteReader* r, const std::vector<std::string>& st
   switch (step.kind) {
     case StepKind::kSplit: {
       step.iter = static_cast<int>(r->GetZigzag());
-      uint64_t n = r->GetVarint();
-      if (!r->ok() || n > kMaxDecodedElements) {
-        r->Fail();
+      uint64_t n = r->GetCount();
+      if (!r->ok()) {
         return std::nullopt;
       }
       step.lengths.reserve(n);
@@ -147,9 +140,8 @@ std::optional<Step> DecodeStep(ByteReader* r, const std::vector<std::string>& st
       step.fuse_count = static_cast<int>(r->GetZigzag());
       break;
     case StepKind::kReorder: {
-      uint64_t n = r->GetVarint();
-      if (!r->ok() || n > kMaxDecodedElements) {
-        r->Fail();
+      uint64_t n = r->GetCount();
+      if (!r->ok()) {
         return std::nullopt;
       }
       step.order.reserve(n);
@@ -213,9 +205,10 @@ void EncodeFeatureRows(const FeatureMatrix& m, size_t begin, size_t end, StringT
 bool DecodeFeatureMatrix(ByteReader* r, const std::vector<std::string>& strings,
                          FeatureMatrix* out) {
   uint64_t dim = r->GetVarint();
-  uint64_t rows = r->GetVarint();
-  if (!r->ok() || dim > kMaxDecodedElements || rows > kMaxDecodedElements ||
-      (dim == 0 && rows > 0) || (dim > 0 && rows > kMaxDecodedElements / dim)) {
+  uint64_t rows = r->GetCount();
+  // The rows x dim floats must fit in what is left, checked by division so a
+  // corrupted dim cannot overflow the product.
+  if (!r->ok() || (rows > 0 && (dim == 0 || dim > r->remaining() / sizeof(float) / rows))) {
     r->Fail();
     return false;
   }

@@ -7,6 +7,7 @@
 #include "src/costmodel/cost_model.h"
 #include "src/hwsim/measurer.h"
 #include "src/store/artifact_store.h"
+#include "src/store/bytes.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -215,6 +216,30 @@ TEST(ArtifactStoreTest, CorruptionNeverCrashes) {
     ArtifactLoadStats stats = store2.Deserialize(corrupted);  // must not crash
     EXPECT_LE(stats.loaded, 3u);
   }
+}
+
+TEST(ArtifactStoreTest, CraftedHugeStepCountFailsCleanly) {
+  // One snapshot body claiming 2^28 steps in a 28-byte container: the count
+  // exceeds the bytes left, so the body is skipped before its step list is
+  // sized, instead of aborting the process that warm-starts from it.
+  ByteWriter body;
+  body.PutU64(1);            // task id
+  body.PutVarint(0);         // tag: string 0
+  body.PutU8(0);             // flags
+  body.PutVarint(1u << 28);  // step count
+  ByteWriter w;
+  w.PutRaw("ANSRART1", 8);
+  w.PutVarint(1);
+  w.PutString("t");
+  w.PutVarint(1);  // one snapshot
+  w.PutVarint(body.size());
+  w.PutRaw(body.buffer().data(), body.size());
+  ArtifactStore store;
+  ArtifactLoadStats stats = store.Deserialize(w.Take());
+  EXPECT_TRUE(stats.ok);
+  EXPECT_EQ(stats.loaded, 0u);
+  EXPECT_EQ(stats.skipped, 1u);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 // The warm-start determinism matrix: a search resumed from a snapshot of an

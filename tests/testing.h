@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,35 @@ void ExpectEveryCutSaveKeepsOldFile(const std::string& path, size_t new_size,
       return;  // the first cut that breaks the guarantee is enough
     }
   }
+}
+
+// Field-wise record-list equality: task id, bit-equal seconds and
+// throughput, and StepSignature (which spells out every step field).
+inline ::testing::AssertionResult SameRecords(const std::vector<TuningRecord>& actual,
+                                              const std::vector<TuningRecord>& expected) {
+  if (actual.size() != expected.size()) {
+    return ::testing::AssertionFailure()
+           << actual.size() << " records, expected " << expected.size();
+  }
+  auto bits = [](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (size_t i = 0; i < actual.size(); ++i) {
+    const TuningRecord& a = actual[i];
+    const TuningRecord& e = expected[i];
+    std::string sig = StepSignature(a.steps);
+    if (a.task_id != e.task_id || bits(a.seconds) != bits(e.seconds) ||
+        bits(a.throughput) != bits(e.throughput) || sig != StepSignature(e.steps)) {
+      return ::testing::AssertionFailure()
+             << "record " << i << " differs: task " << a.task_id << " vs " << e.task_id
+             << ", seconds " << a.seconds << " vs " << e.seconds << ", throughput "
+             << a.throughput << " vs " << e.throughput << ", steps " << sig << " vs "
+             << StepSignature(e.steps);
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace testing
