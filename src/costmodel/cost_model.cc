@@ -4,10 +4,6 @@
 #include <atomic>
 #include <cstring>
 
-#include "src/ir/state.h"
-#include "src/store/artifact_store.h"
-#include "src/store/record_store.h"
-#include "src/store/serde.h"
 #include "src/support/logging.h"
 #include "src/support/util.h"
 
@@ -54,23 +50,12 @@ void GbdtCostModel::Update(uint64_t task_id,
     if (program_features[i].empty()) {
       continue;  // failed lowering: nothing to learn from
     }
-    AddSample(task_id, program_features[i], throughputs[i]);
+    data_.AddProgram(program_features[i]);
+    labels_raw_.push_back(std::max(0.0, throughputs[i]));
+    task_ids_.push_back(task_id);
+    double& best = task_best_[task_id];
+    best = std::max(best, throughputs[i]);
   }
-  Retrain();
-  CountTrain();
-  BumpVersion();  // invalidates stage-score memos on cached artifacts
-}
-
-void GbdtCostModel::AddSample(uint64_t task_id, const FeatureMatrix& features,
-                              double throughput) {
-  data_.AddProgram(features);
-  labels_raw_.push_back(std::max(0.0, throughput));
-  task_ids_.push_back(task_id);
-  double& best = task_best_[task_id];
-  best = std::max(best, throughput);
-}
-
-void GbdtCostModel::Retrain() {
   for (int p = 0; p < data_.num_programs(); ++p) {
     double best = task_best_[task_ids_[static_cast<size_t>(p)]];
     double label = best > 0.0 ? labels_raw_[static_cast<size_t>(p)] / best : 0.0;
@@ -80,141 +65,14 @@ void GbdtCostModel::Retrain() {
   }
   model_ = Gbdt(params_);
   model_.Train(data_);
-}
-
-TrainFromStoreStats GbdtCostModel::TrainFromStore(const RecordStore& records,
-                                                  const ArtifactStore& artifacts) {
-  TrainFromStoreStats stats;
-  for (const TuningRecord& record : records.Snapshot()) {
-    const ArtifactSnapshot* artifact =
-        artifacts.Find(record.task_id, StepSignature(record.steps));
-    if (artifact == nullptr || artifact->features.empty()) {
-      ++stats.missing_features;
-      continue;
-    }
-    // Live measurements persist their FLOPS throughput; a record without
-    // one carries only seconds. 1/seconds differs from FLOPS by the task's
-    // constant flop count, which the per-task normalization divides away.
-    double throughput = record.throughput > 0.0
-                            ? record.throughput
-                            : (record.seconds > 0.0 ? 1.0 / record.seconds : 0.0);
-    AddSample(record.task_id, artifact->features, throughput);
-    ++stats.used;
-  }
-  if (stats.used > 0) {
-    Retrain();
-    CountTrain();
-    BumpVersion();
-  }
-  return stats;
+  CountTrain();
+  BumpVersion();  // invalidates stage-score memos on cached artifacts
 }
 
 void GbdtCostModel::ExportMetrics(MetricsRegistry* registry,
                                   const std::string& prefix) const {
   CostModel::ExportMetrics(registry, prefix);
   registry->SetGauge(prefix + ".samples", static_cast<double>(num_samples()));
-}
-
-namespace {
-
-constexpr char kModelMagic[8] = {'A', 'N', 'S', 'R', 'G', 'B', 'M', '1'};
-constexpr size_t kModelMagicSize = sizeof(kModelMagic);
-
-}  // namespace
-
-std::string GbdtCostModel::Serialize() const {
-  // Body first so the string table (stage names interned by the feature
-  // codec) is complete before it is written ahead of the body.
-  StringTable strings;
-  ByteWriter body;
-  model_.EncodeTo(&body);
-  body.PutVarint(labels_raw_.size());
-  for (int p = 0; p < data_.num_programs(); ++p) {
-    EncodeFeatureRows(data_.rows(), data_.program_begin(p), data_.program_begin(p + 1),
-                      &strings, &body);
-    body.PutF64(labels_raw_[static_cast<size_t>(p)]);
-    body.PutU64(task_ids_[static_cast<size_t>(p)]);
-  }
-  // task_best_ in sorted task order: identical state must serialize to
-  // identical bytes regardless of hash-map iteration order.
-  std::vector<std::pair<uint64_t, double>> bests(task_best_.begin(), task_best_.end());
-  std::sort(bests.begin(), bests.end());
-  body.PutVarint(bests.size());
-  for (const auto& [task, best] : bests) {
-    body.PutU64(task);
-    body.PutF64(best);
-  }
-  ByteWriter w;
-  w.PutRaw(kModelMagic, kModelMagicSize);
-  strings.Encode(&w);
-  w.PutRaw(body.buffer().data(), body.size());
-  return w.Take();
-}
-
-bool GbdtCostModel::Deserialize(const std::string& bytes) {
-  if (bytes.size() < kModelMagicSize ||
-      bytes.compare(0, kModelMagicSize, kModelMagic, kModelMagicSize) != 0) {
-    return false;
-  }
-  ByteReader r(bytes);
-  r.Skip(kModelMagicSize);
-  StringTable strings;
-  if (!strings.Decode(&r)) {
-    return false;
-  }
-  Gbdt model;
-  if (!model.DecodeFrom(&r, static_cast<int>(FeatureDim()))) {
-    return false;
-  }
-  uint64_t num_samples = r.GetCount();
-  if (!r.ok()) {
-    return false;
-  }
-  GbdtDataset data;
-  std::vector<double> labels;
-  std::vector<uint64_t> task_ids;
-  labels.reserve(num_samples);
-  task_ids.reserve(num_samples);
-  for (uint64_t i = 0; i < num_samples; ++i) {
-    FeatureMatrix m;
-    if (!DecodeFeatureMatrix(&r, strings.strings(), &m)) {
-      return false;
-    }
-    double label = r.GetF64();
-    uint64_t task = r.GetU64();
-    // Every sample is a measured program: non-empty, with the first's width.
-    if (!r.ok() || !std::isfinite(label) || label < 0.0 || m.empty() ||
-        (i > 0 && m.dim() != data.rows().dim())) {
-      return false;
-    }
-    data.AddProgram(m);
-    labels.push_back(label);
-    task_ids.push_back(task);
-  }
-  uint64_t num_bests = r.GetCount();
-  if (!r.ok()) {
-    return false;
-  }
-  std::unordered_map<uint64_t, double> bests;
-  for (uint64_t i = 0; i < num_bests; ++i) {
-    uint64_t task = r.GetU64();
-    double best = r.GetF64();
-    if (!r.ok() || !std::isfinite(best)) {
-      return false;
-    }
-    bests[task] = best;
-  }
-  if (!r.AtEnd()) {
-    return false;  // trailing garbage: refuse, the container is inconsistent
-  }
-  params_ = model.params();
-  model_ = std::move(model);
-  data_ = std::move(data);
-  labels_raw_ = std::move(labels);
-  task_ids_ = std::move(task_ids);
-  task_best_ = std::move(bests);
-  BumpVersion();  // any memoized stage scores elsewhere are now stale
-  return true;
 }
 
 std::vector<double> GbdtCostModel::PredictBatch(

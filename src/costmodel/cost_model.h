@@ -6,10 +6,10 @@
 // tasks and retrains on every update.
 //
 // GbdtCostModel keeps one persistent GbdtDataset, its only copy of the
-// training data. Update, TrainFromStore and Deserialize append programs to
-// it; each retrain recomputes just the per-program labels and weights (task
-// bests move) and trains from scratch on the dataset as it stands, so a
-// model equals one trained once over the same programs in the same order.
+// training data. Update is its one writer: it appends the measured programs,
+// recomputes just the per-program labels and weights (task bests move) and
+// trains from scratch on the dataset as it stands, so a model equals one
+// trained once over the same programs in the same order.
 //
 // All entry points speak FeatureMatrix — the flat row-major features cached
 // on ProgramArtifacts. A model implements program scoring once, in
@@ -31,16 +31,6 @@
 #include "src/telemetry/metrics.h"
 
 namespace ansor {
-
-class RecordStore;
-class ArtifactStore;
-
-// Accounting for GbdtCostModel::TrainFromStore: how many stored records
-// became training samples vs lacked a persisted feature matrix.
-struct TrainFromStoreStats {
-  size_t used = 0;
-  size_t missing_features = 0;
-};
 
 class CostModel {
  public:
@@ -144,31 +134,7 @@ class GbdtCostModel : public CostModel {
 
   void ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const override;
 
-  // Transfer learning from the persistence layer (the paper's "single model
-  // trained for all programs coming from all DAGs", across process
-  // lifetimes): joins every stored TuningRecord against its persisted
-  // feature matrix in `artifacts` (ArtifactStore::Find by task + step
-  // signature) and retrains once over the union. Labels use the record's
-  // measured throughput; records without one fall back to 1/seconds,
-  // which the per-task normalization maps to the same [0, 1] labels for any
-  // single task. Appends to existing training data, so the result equals
-  // having Updated with the same samples live.
-  TrainFromStoreStats TrainFromStore(const RecordStore& records,
-                                     const ArtifactStore& artifacts);
-
-  // Binary round trip of the whole model state: params, trained forest (bit
-  // -identical predictions after load), and the accumulated training data +
-  // per-task bests, so Update after a load continues exactly where the saved
-  // model stopped. Loading bumps version() (memoized stage scores go stale).
-  std::string Serialize() const;
-  bool Deserialize(const std::string& bytes);
-
  private:
-  void Retrain();
-
-  // Appends one measured program to the training data.
-  void AddSample(uint64_t task_id, const FeatureMatrix& features, double throughput);
-
   GbdtParams params_;
   Gbdt model_;
   // Accumulated training data: program p of data_ was measured at

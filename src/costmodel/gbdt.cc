@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "src/store/bytes.h"
 #include "src/support/logging.h"
 
 namespace ansor {
@@ -465,88 +464,6 @@ double Gbdt::PredictProgram(const std::vector<std::vector<float>>& rows) const {
     score += PredictRow(row);
   }
   return score;
-}
-
-namespace {
-// Decoder sanity bounds: far beyond any trainable model, small enough to
-// reject allocation bombs from corrupted input.
-constexpr uint64_t kMaxDecodedTrees = 1u << 20;
-constexpr uint64_t kMaxDecodedNodes = 1u << 22;
-}  // namespace
-
-void Gbdt::EncodeTo(ByteWriter* w) const {
-  w->PutZigzag(params_.num_trees);
-  w->PutZigzag(params_.max_depth);
-  w->PutF64(params_.learning_rate);
-  w->PutF64(params_.lambda);
-  w->PutZigzag(params_.max_bins);
-  w->PutZigzag(params_.min_rows_per_leaf);
-  w->PutF64(params_.min_gain);
-  w->PutF64(base_score_);
-  w->PutVarint(trees_.size());
-  for (const Tree& tree : trees_) {
-    w->PutVarint(tree.nodes.size());
-    for (const TreeNode& node : tree.nodes) {
-      w->PutZigzag(node.feature);
-      w->PutF32(node.threshold);
-      w->PutZigzag(node.left);
-      w->PutZigzag(node.right);
-      w->PutF64(node.value);
-    }
-  }
-}
-
-bool Gbdt::DecodeFrom(ByteReader* r, int num_features) {
-  GbdtParams params;
-  params.num_trees = static_cast<int>(r->GetZigzag());
-  params.max_depth = static_cast<int>(r->GetZigzag());
-  params.learning_rate = r->GetF64();
-  params.lambda = r->GetF64();
-  params.max_bins = static_cast<int>(r->GetZigzag());
-  params.min_rows_per_leaf = static_cast<int>(r->GetZigzag());
-  params.min_gain = r->GetF64();
-  double base_score = r->GetF64();
-  uint64_t num_trees = r->GetVarint();
-  if (!r->ok() || num_trees > kMaxDecodedTrees || !std::isfinite(base_score) ||
-      params.max_bins < 2 || params.max_bins > 256) {
-    r->Fail();
-    return false;
-  }
-  std::vector<Tree> trees(num_trees);
-  for (Tree& tree : trees) {
-    uint64_t num_nodes = r->GetVarint();
-    if (!r->ok() || num_nodes > kMaxDecodedNodes) {
-      r->Fail();
-      return false;
-    }
-    tree.nodes.resize(num_nodes);
-    int n = static_cast<int>(num_nodes);
-    for (int i = 0; i < n; ++i) {
-      TreeNode& node = tree.nodes[static_cast<size_t>(i)];
-      node.feature = static_cast<int>(r->GetZigzag());
-      node.threshold = r->GetF32();
-      node.left = static_cast<int>(r->GetZigzag());
-      node.right = static_cast<int>(r->GetZigzag());
-      node.value = r->GetF64();
-      if (!r->ok() || node.feature < -1 || node.feature >= num_features ||
-          !std::isfinite(node.value)) {
-        r->Fail();
-        return false;
-      }
-      // Internal nodes must reference children after themselves (leaves
-      // carry -1/-1): an out-of-range child would send inference walking
-      // wild memory, and a backward one would loop it forever.
-      bool is_leaf = node.feature == -1;
-      if (!is_leaf && (node.left <= i || node.left >= n || node.right <= i || node.right >= n)) {
-        r->Fail();
-        return false;
-      }
-    }
-  }
-  params_ = params;
-  base_score_ = base_score;
-  trees_ = std::move(trees);
-  return true;
 }
 
 }  // namespace ansor

@@ -45,9 +45,6 @@
 
 namespace ansor {
 
-class ByteWriter;
-class ByteReader;
-
 struct GbdtParams {
   int num_trees = 50;
   int max_depth = 6;
@@ -130,18 +127,6 @@ class Gbdt {
   double PredictProgram(const std::vector<std::vector<float>>& rows) const;
 
   const std::vector<Tree>& trees() const { return trees_; }
-  const GbdtParams& params() const { return params_; }
-
-  // Binary codec (store layer, src/store/bytes.h): params, base score, and
-  // the trained trees with raw IEEE threshold/value bits, so a decoded
-  // model's predictions are bit-identical to the encoder's. DecodeFrom
-  // validates every node against the rows predictions will read: a split's
-  // feature must lie in [0, num_features), and an internal node's children
-  // must lie after it in its tree (the order Train emits), so every walk
-  // ends at a leaf. It fails the reader (returning false, model untouched
-  // semantically) on malformed input.
-  void EncodeTo(ByteWriter* w) const;
-  bool DecodeFrom(ByteReader* r, int num_features);
 
  private:
   GbdtParams params_;

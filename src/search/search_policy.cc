@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "src/analysis/program_verifier.h"
+#include "src/support/logging.h"
 #include "src/support/thread_pool.h"
 
 namespace ansor {
@@ -257,6 +258,7 @@ double TaskTuner::TuneRound(int num_measures, int64_t deadline_nanos) {
 
 TuneResult TuneTask(const SearchTask& task, Measurer* measurer, CostModel* model,
                     int num_measure_trials, int measures_per_round, SearchOptions options) {
+  CHECK_GT(measures_per_round, 0);  // a round of no trials never advances the budget
   TaskTuner tuner(task, measurer, model, options);
   int done = 0;
   while (done < num_measure_trials) {

@@ -73,7 +73,7 @@ struct SearchOptions {
   // Record sink (src/store/record_store.h): every valid measurement is
   // appended here, carrying its measured throughput and attributed to
   // cache_client_id, under the store's dedup policy (resume / share /
-  // apply-without-search workflows, and TrainFromStore). A TuningService
+  // apply-without-search workflows). A TuningService
   // points every job's tuners at one store so the whole fleet's history
   // accumulates deduplicated in one place. Not owned; may be shared across
   // concurrent tuners.
@@ -272,7 +272,7 @@ struct TuneResult {
 };
 
 // Tunes a single task for `num_measure_trials` trials in rounds of
-// `measures_per_round`.
+// `measures_per_round`, which must be positive (CHECKed).
 TuneResult TuneTask(const SearchTask& task, Measurer* measurer, CostModel* model,
                     int num_measure_trials, int measures_per_round = 16,
                     SearchOptions options = SearchOptions());

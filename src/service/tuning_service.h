@@ -167,7 +167,7 @@ struct TuningServiceOptions {
   // Fleet-wide record store: when set, every job's valid measurements are
   // appended here (deduplicated by signature, attributed per (job, task)
   // client id — see JobReport::records). Not owned; must outlive the
-  // service. Feeds the transfer-learned cost model (TrainFromStore).
+  // service.
   RecordStore* record_store = nullptr;
   // Artifact-store file (ArtifactStore::SaveToFile / SaveWarmState) loaded
   // at construction. Each per-tag shared cache is warm-started from it the

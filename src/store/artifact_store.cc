@@ -96,9 +96,7 @@ bool ArtifactStore::Add(ArtifactSnapshot snapshot) {
 }
 
 bool ArtifactStore::AddLocked(ArtifactSnapshot snapshot) {
-  std::string key = StoreKey(snapshot.task_id, StepSignature(snapshot.steps));
-  auto [it, inserted] = by_key_.emplace(std::move(key), snapshots_.size());
-  if (!inserted) {
+  if (!keys_.insert(StoreKey(snapshot.task_id, StepSignature(snapshot.steps))).second) {
     ++stats_.deduplicated;
     return false;
   }
@@ -115,13 +113,6 @@ size_t ArtifactStore::size() const {
 ArtifactStoreStats ArtifactStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-const ArtifactSnapshot* ArtifactStore::Find(uint64_t task_id,
-                                            const std::string& signature) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_key_.find(StoreKey(task_id, signature));
-  return it == by_key_.end() ? nullptr : &snapshots_[it->second];
 }
 
 size_t ArtifactStore::CaptureCache(const ProgramCache& cache, const std::string& tag) {

@@ -10,20 +10,30 @@
 // serve population scoring and static filtering straight from the snapshot
 // and only re-lower on genuine demand.
 //
-// Snapshots are also the feature source for the transfer-learned cost model:
-// TrainFromStore joins TuningRecords against Find(task_id, signature) to
-// recover each measured program's feature matrix without re-lowering it.
-//
 // The on-disk container mirrors the record store's: an interned string
 // table, length-prefixed snapshot bodies (a corrupted snapshot is skipped
 // and counted, never crashes the loader), and a fixed magic for detection.
+//
+// Thread safety. One ArtifactStore may be shared by any number of threads
+// (every job of a TuningService warms its cache from the service's store):
+//   * every public method reads or writes the snapshots, the key set and
+//     the stats only under mu_ (CaptureCache through Add, the file methods
+//     through Serialize/Deserialize), so any mix of concurrent calls is safe;
+//   * nothing borrowed escapes the lock: readers get values (size(),
+//     stats(), Serialize()'s bytes) or copies (WarmCache builds each warm
+//     artifact from a copy of the snapshot's fields), never a reference into
+//     the store;
+//   * lock order is mu_ before a ProgramCache shard lock: WarmCache inserts
+//     into the cache under mu_, and CaptureCache reads the cache through
+//     ProgramCache::ForEach, which calls back with no shard lock held, so
+//     its Add takes mu_ alone.
 #ifndef ANSOR_SRC_STORE_ARTIFACT_STORE_H_
 #define ANSOR_SRC_STORE_ARTIFACT_STORE_H_
 
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -81,15 +91,6 @@ class ArtifactStore {
   size_t size() const;
   ArtifactStoreStats stats() const;
 
-  // Borrowed view, insertion-ordered: stable only while no concurrent Add
-  // runs (the load-once-then-read warm-start pattern).
-  const std::vector<ArtifactSnapshot>& snapshots() const { return snapshots_; }
-
-  // The snapshot for (task_id, signature), or nullptr. Borrowed, same
-  // stability contract as snapshots(). This is TrainFromStore's feature
-  // join.
-  const ArtifactSnapshot* Find(uint64_t task_id, const std::string& signature) const;
-
   // Captures every artifact resident in `cache` as a snapshot tagged `tag`
   // (duplicates against already-stored snapshots are deduplicated). Returns
   // the number of snapshots newly added.
@@ -116,9 +117,10 @@ class ArtifactStore {
   bool AddLocked(ArtifactSnapshot snapshot);
 
   mutable std::mutex mu_;
+  // Insertion-ordered; Serialize writes them in this order.
   std::vector<ArtifactSnapshot> snapshots_;
-  // "<task id>|<StepSignature>" -> slot in snapshots_.
-  std::unordered_map<std::string, size_t> by_key_;
+  // "<task id>|<StepSignature>" of every snapshot in snapshots_.
+  std::unordered_set<std::string> keys_;
   ArtifactStoreStats stats_;
 };
 

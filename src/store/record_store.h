@@ -2,8 +2,7 @@
 // tuning history goes through this interface.
 //
 // A TuningRecord is one (task, measured seconds, step list) triple — plus
-// the measured throughput when known, which the transfer-learned cost model
-// trains from (TrainFromStore). Records persist in one binary container
+// the measured throughput when known. Records persist in one binary container
 // (`ANSRREC1`), built for logs with millions of records: stage names,
 // distinct steps, and task ids are interned into file-level tables, so each
 // record's step list is a handful of 1-2 byte varint references; records

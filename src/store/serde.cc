@@ -1,7 +1,5 @@
 #include "src/store/serde.h"
 
-#include "src/support/logging.h"
-
 namespace ansor {
 namespace {
 
@@ -187,19 +185,12 @@ std::optional<Step> DecodeStep(ByteReader* r, const std::vector<std::string>& st
 }
 
 void EncodeFeatureMatrix(const FeatureMatrix& m, StringTable* strings, ByteWriter* w) {
-  EncodeFeatureRows(m, 0, m.rows(), strings, w);
-}
-
-void EncodeFeatureRows(const FeatureMatrix& m, size_t begin, size_t end, StringTable* strings,
-                       ByteWriter* w) {
-  CHECK_LE(begin, end);
-  CHECK_LE(end, m.rows());
   w->PutVarint(m.dim());
-  w->PutVarint(end - begin);
-  for (size_t r = begin; r < end; ++r) {
-    w->PutVarint(strings->Intern(m.row_stage(r)));
+  w->PutVarint(m.rows());
+  for (const std::string& stage : m.row_stages()) {
+    w->PutVarint(strings->Intern(stage));
   }
-  w->PutRaw(m.data().data() + begin * m.dim(), (end - begin) * m.dim() * sizeof(float));
+  w->PutRaw(m.data().data(), m.data().size() * sizeof(float));
 }
 
 bool DecodeFeatureMatrix(ByteReader* r, const std::vector<std::string>& strings,

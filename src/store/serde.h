@@ -47,10 +47,6 @@ std::optional<Step> DecodeStep(ByteReader* r, const std::vector<std::string>& st
 // Feature matrices serialize as dim + row count + raw f32 data + per-row
 // stage references (bit-exact round trip; empty matrices stay empty).
 void EncodeFeatureMatrix(const FeatureMatrix& m, StringTable* strings, ByteWriter* w);
-// Rows [begin, end) of `m`, encoded as EncodeFeatureMatrix encodes a matrix
-// holding just those rows.
-void EncodeFeatureRows(const FeatureMatrix& m, size_t begin, size_t end, StringTable* strings,
-                       ByteWriter* w);
 bool DecodeFeatureMatrix(ByteReader* r, const std::vector<std::string>& strings,
                          FeatureMatrix* out);
 

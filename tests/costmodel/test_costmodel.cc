@@ -6,13 +6,7 @@
 #include "src/costmodel/cost_model.h"
 #include "src/costmodel/gbdt.h"
 #include "src/costmodel/metrics.h"
-#include "src/dag/compute_dag.h"
-#include "src/ir/state.h"
-#include "src/ir/steps.h"
-#include "src/program/program_cache.h"
-#include "src/store/artifact_store.h"
 #include "src/store/bytes.h"
-#include "src/store/record_store.h"
 #include "src/support/rng.h"
 #include "tests/testing.h"
 
@@ -162,12 +156,30 @@ std::vector<FeatureMatrix> ProgramsOf(const GbdtDataset& data) {
   return programs;
 }
 
-// The model's binary encoding: params, base score, and every node's
-// feature, threshold, children and value bits.
-std::string EncodedBytes(const Gbdt& model) {
+// A trained model's bytes: the params it was built with, its base score,
+// and every node's feature, threshold, children and value bits.
+std::string EncodedBytes(const Gbdt& model, const GbdtParams& params = GbdtParams()) {
   ByteWriter w;
-  model.EncodeTo(&w);
-  return w.buffer();
+  w.PutZigzag(params.num_trees);
+  w.PutZigzag(params.max_depth);
+  w.PutF64(params.learning_rate);
+  w.PutF64(params.lambda);
+  w.PutZigzag(params.max_bins);
+  w.PutZigzag(params.min_rows_per_leaf);
+  w.PutF64(params.min_gain);
+  w.PutF64(model.base_score());
+  w.PutVarint(model.trees().size());
+  for (const Tree& tree : model.trees()) {
+    w.PutVarint(tree.nodes.size());
+    for (const TreeNode& node : tree.nodes) {
+      w.PutZigzag(node.feature);
+      w.PutF32(node.threshold);
+      w.PutZigzag(node.left);
+      w.PutZigzag(node.right);
+      w.PutF64(node.value);
+    }
+  }
+  return w.Take();
 }
 
 uint64_t HashOf(const std::string& bytes) { return Fnv1a64(bytes.data(), bytes.size()); }
@@ -204,9 +216,9 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
   ties.min_gain = 0.0;
   Gbdt tied(ties);
   tied.Train(MakeGoldenDataset());
-  EXPECT_EQ(HashOf(EncodedBytes(tied)), 0xa2a48fef7c49bc7bULL);
+  EXPECT_EQ(HashOf(EncodedBytes(tied, ties)), 0xa2a48fef7c49bc7bULL);
 
-  // The cost model's full state after three updates over two tasks.
+  // The cost model's forest after three updates over two tasks.
   std::vector<FeatureMatrix> programs = ProgramsOf(MakeGoldenDataset());
   GbdtCostModel cost_model;
   for (int u = 0; u < 3; ++u) {
@@ -217,7 +229,8 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
     }
     cost_model.Update(/*task_id=*/u == 1 ? 2 : 1, batch, throughputs);
   }
-  EXPECT_EQ(HashOf(cost_model.Serialize()), 0x41ad7bb1c9046874ULL);
+  EXPECT_EQ(cost_model.num_samples(), 90u);
+  EXPECT_EQ(HashOf(EncodedBytes(cost_model.gbdt())), 0x937c9adb1e99064eULL);
 
   // Every prediction entry point's raw score bytes on that model, plus the
   // random model's draw order and both models' prediction counters. The
@@ -543,185 +556,11 @@ TEST(CostModelTest, RandomModelIsUniform) {
   EXPECT_LT(preds[2], 0.0);  // invalid program
 }
 
-TEST(Gbdt, BinaryCodecRoundTripsBitExact) {
-  Rng rng(11);
-  GbdtDataset train = MakeSyntheticDataset(100, 2, &rng);
-  Gbdt model;
-  model.Train(train);
-  ASSERT_TRUE(model.trained());
-
-  ByteWriter w;
-  model.EncodeTo(&w);
-  std::string bytes = w.buffer();
-  ByteReader r(bytes);
-  Gbdt decoded;
-  ASSERT_TRUE(decoded.DecodeFrom(&r, /*num_features=*/8));
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded.trees().size(), model.trees().size());
-  EXPECT_EQ(decoded.base_score(), model.base_score());
-  for (int i = 0; i < 50; ++i) {
-    std::vector<float> row(8);
-    for (auto& v : row) {
-      v = static_cast<float>(rng.Uniform());
-    }
-    EXPECT_EQ(decoded.PredictRow(row), model.PredictRow(row));  // bit-identical
-  }
-}
-
-TEST(Gbdt, CorruptedCodecInputRejected) {
-  Rng rng(12);
-  GbdtDataset train = MakeSyntheticDataset(40, 1, &rng);
-  Gbdt model;
-  model.Train(train);
-  ByteWriter w;
-  model.EncodeTo(&w);
-  std::string bytes = w.buffer();
-  for (size_t cut = 0; cut < bytes.size(); cut += 13) {
-    ByteReader r(bytes.data(), cut);
-    Gbdt decoded;
-    EXPECT_FALSE(decoded.DecodeFrom(&r, 8)) << "cut=" << cut;  // must not crash
-  }
-
-  // Hand-built one-tree models over 8-feature rows: a root splitting on
-  // feature 0 with two leaves decodes, and each single defect is rejected.
-  auto decodes = [](const std::vector<TreeNode>& nodes) {
-    std::string bytes = EncodedBytes(Gbdt());
-    bytes.pop_back();  // the empty model's tree count, 0
-    ByteWriter w;
-    w.PutVarint(1);
-    w.PutVarint(nodes.size());
-    for (const TreeNode& node : nodes) {
-      w.PutZigzag(node.feature);
-      w.PutF32(node.threshold);
-      w.PutZigzag(node.left);
-      w.PutZigzag(node.right);
-      w.PutF64(node.value);
-    }
-    bytes += w.buffer();
-    ByteReader r(bytes);
-    return Gbdt().DecodeFrom(&r, 8);
-  };
-  TreeNode leaf;
-  auto split = [](int feature, int left, int right) {
-    TreeNode node;
-    node.feature = feature;
-    node.threshold = 0.5f;
-    node.left = left;
-    node.right = right;
-    return node;
-  };
-  EXPECT_TRUE(decodes({split(0, 1, 2), leaf, leaf}));
-  EXPECT_FALSE(decodes({split(0, 0, 1), leaf}));  // left child is the node itself
-  EXPECT_FALSE(decodes({split(0, 1, 2), split(0, 0, 2), leaf}));  // child before the node
-  EXPECT_FALSE(decodes({split(8, 1, 2), leaf, leaf}));  // feature past the row
-  EXPECT_FALSE(decodes({split(1 << 20, 1, 2), leaf, leaf}));
-}
-
-TEST(CostModelTest, SaveLoadContinuesTrainingExactly) {
-  Rng rng(21);
-  auto random_program = [&rng](int rows) {
-    FeatureMatrix m;
-    for (int r = 0; r < rows; ++r) {
-      std::vector<float> row(8);
-      for (auto& v : row) {
-        v = static_cast<float>(rng.Uniform());
-      }
-      m.AppendRow(row);
-    }
-    return m;
-  };
-  GbdtCostModel original;
-  std::vector<FeatureMatrix> batch1 = {random_program(2), random_program(3),
-                                       random_program(1)};
-  original.Update(7, batch1, {1e9, 3e9, 2e9});
-
-  GbdtCostModel loaded;
-  ASSERT_TRUE(loaded.Deserialize(original.Serialize()));
-  EXPECT_EQ(loaded.num_samples(), original.num_samples());
-
-  std::vector<FeatureMatrix> probes = {random_program(2), random_program(4)};
-  EXPECT_EQ(loaded.Predict(probes), original.Predict(probes));  // bit-identical
-
-  // Updating both with the same new measurements must keep them identical:
-  // the load restored the full training state, not just the forest.
-  std::vector<FeatureMatrix> batch2 = {random_program(2)};
-  original.Update(8, batch2, {5e9});
-  loaded.Update(8, batch2, {5e9});
-  EXPECT_EQ(loaded.Predict(probes), original.Predict(probes));
-
-  GbdtCostModel garbage;
-  EXPECT_FALSE(garbage.Deserialize("not a model file"));
-  EXPECT_FALSE(garbage.Deserialize(std::string()));
-
-  // A model whose trees split on a feature past FeatureDim() would read past
-  // every extracted row: its bytes are refused.
-  GbdtCostModel wide;
-  std::vector<FeatureMatrix> wide_programs;
-  std::vector<double> wide_throughputs;
-  for (int i = 0; i < 40; ++i) {
-    std::vector<float> row(FeatureDim() + 1, 0.0f);
-    row.back() = static_cast<float>(rng.Uniform());
-    wide_programs.push_back(OneRowProgram(row));
-    wide_throughputs.push_back(1e9 * (0.1 + row.back()));
-  }
-  wide.Update(9, wide_programs, wide_throughputs);
-  ASSERT_EQ(wide.gbdt().trees()[0].nodes[0].feature, static_cast<int>(FeatureDim()));
-  EXPECT_FALSE(garbage.Deserialize(wide.Serialize()));
-}
-
-TEST(CostModelTest, TrainFromStoreMatchesLiveUpdates) {
-  auto dag = std::make_shared<const ComputeDAG>(testing::Matmul(16, 16, 16));
-  std::vector<State> programs;
-  {
-    State s(dag.get());
-    ASSERT_TRUE(s.Split("C", 0, {4}));
-    programs.push_back(std::move(s));
-  }
-  {
-    State s(dag.get());
-    ASSERT_TRUE(s.Split("C", 1, {8}));
-    programs.push_back(std::move(s));
-  }
-  {
-    State s(dag.get());
-    ASSERT_TRUE(s.Fuse("C", 0, 2));
-    programs.push_back(std::move(s));
-  }
-  ProgramCache cache(16, 1);
-  std::vector<FeatureMatrix> features;
-  for (const State& s : programs) {
-    features.push_back(cache.GetOrBuild(s)->features());
-  }
-  std::vector<double> throughputs = {1e9, 4e9, 2e9};
-
-  // The fleet's persisted view of the same measurements.
-  ArtifactStore artifacts;
-  artifacts.CaptureCache(cache);
-  RecordStore records;
-  for (size_t i = 0; i < programs.size(); ++i) {
-    TuningRecord r;
-    r.task_id = dag->CanonicalHash();
-    r.seconds = 1e-3 / (1.0 + static_cast<double>(i));
-    r.throughput = throughputs[i];
-    r.steps = programs[i].steps();
-    records.Add(std::move(r));
-  }
-
-  GbdtCostModel live;
-  live.Update(dag->CanonicalHash(), features, throughputs);
-  GbdtCostModel transfer;
-  TrainFromStoreStats stats = transfer.TrainFromStore(records, artifacts);
-  EXPECT_EQ(stats.used, 3u);
-  EXPECT_EQ(stats.missing_features, 0u);
-  EXPECT_EQ(transfer.num_samples(), live.num_samples());
-  EXPECT_EQ(transfer.Predict(features), live.Predict(features));  // bit-identical
-}
-
 TEST(GbdtCostModel, IncrementalUpdatesMatchOneShotTraining) {
   // Three batches over two tasks. Each task's best throughput is 4e9, so
-  // every label is the same whether the programs arrive in three Updates,
-  // in one Update over their union, or partly through a saved model or the
-  // stores: each way must train the same trees, bit for bit.
+  // every label is the same whether the programs arrive in three Updates or
+  // in one Update over their union: both ways must train the same trees, bit
+  // for bit.
   Rng rng(33);
   std::vector<std::vector<FeatureMatrix>> batches(3);
   std::vector<std::vector<double>> throughputs(3);
@@ -758,55 +597,6 @@ TEST(GbdtCostModel, IncrementalUpdatesMatchOneShotTraining) {
   }
   one_shot.Update(/*task_id=*/1, all, all_throughputs);
   EXPECT_EQ(EncodedBytes(one_shot.gbdt()), expected);
-
-  GbdtCostModel saved;
-  saved.Update(tasks[0], batches[0], throughputs[0]);
-  saved.Update(tasks[1], batches[1], throughputs[1]);
-  GbdtCostModel loaded;
-  ASSERT_TRUE(loaded.Deserialize(saved.Serialize()));
-  loaded.Update(tasks[2], batches[2], throughputs[2]);
-  EXPECT_EQ(EncodedBytes(loaded.gbdt()), expected);
-
-  // The first two batches as a fleet's stores: one record and one artifact
-  // per program, told apart by their steps.
-  RecordStore records;
-  ArtifactStore artifacts;
-  for (size_t b = 0; b < 2; ++b) {
-    for (size_t i = 0; i < batches[b].size(); ++i) {
-      std::vector<Step> steps = {MakeSplitStep("C", 0, {static_cast<int64_t>(1 + 12 * b + i)})};
-      TuningRecord record;
-      record.task_id = tasks[b];
-      record.seconds = 1e-3;
-      record.throughput = throughputs[b][i];
-      record.steps = steps;
-      ASSERT_TRUE(records.Add(std::move(record)));
-      ArtifactSnapshot artifact;
-      artifact.task_id = tasks[b];
-      artifact.steps = steps;
-      artifact.lowering_ok = true;
-      artifact.features = batches[b][i];
-      ASSERT_TRUE(artifacts.Add(std::move(artifact)));
-    }
-  }
-  GbdtCostModel transfer;
-  EXPECT_EQ(transfer.TrainFromStore(records, artifacts).used, 24u);
-  transfer.Update(tasks[2], batches[2], throughputs[2]);
-  EXPECT_EQ(EncodedBytes(transfer.gbdt()), expected);
-}
-
-TEST(CostModelTest, TrainFromStoreCountsMissingFeatures) {
-  RecordStore records;
-  TuningRecord r;
-  r.task_id = 123;
-  r.seconds = 1e-3;
-  r.steps = {MakeSplitStep("C", 0, {4})};
-  records.Add(std::move(r));
-  ArtifactStore artifacts;  // empty: no features for anything
-  GbdtCostModel model;
-  TrainFromStoreStats stats = model.TrainFromStore(records, artifacts);
-  EXPECT_EQ(stats.used, 0u);
-  EXPECT_EQ(stats.missing_features, 1u);
-  EXPECT_EQ(model.num_samples(), 0u);
 }
 
 TEST(Metrics, PairwiseAccuracy) {

@@ -4,9 +4,6 @@
 // routinely produces and discards such candidates.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "src/costmodel/cost_model.h"
 #include "src/exec/interpreter.h"
 #include "src/hwsim/measurer.h"
 #include "src/program/program_cache.h"
@@ -210,46 +207,6 @@ TEST_P(ArtifactFuzz, MutatedSnapshotsNeverAbort) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArtifactFuzz, ::testing::Range(0, 4));
-
-class ModelFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(ModelFuzz, MutatedModelFilesNeverAbort) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 613 + 7);
-  GbdtCostModel seed_model;
-  std::vector<FeatureMatrix> programs;
-  for (int p = 0; p < 6; ++p) {
-    FeatureMatrix m;
-    std::vector<float> row(8);
-    for (auto& v : row) {
-      v = static_cast<float>(rng.Uniform());
-    }
-    m.AppendRow(row);
-    programs.push_back(std::move(m));
-  }
-  seed_model.Update(1, programs, {1e9, 2e9, 3e9, 4e9, 5e9, 6e9});
-  const std::string seed = seed_model.Serialize();
-
-  for (int trial = 0; trial < 60; ++trial) {
-    std::string bytes = seed;
-    if (trial % 2 == 0) {
-      bytes = bytes.substr(0, rng.Index(bytes.size() + 1));
-    } else {
-      for (int f = 0; f < 4; ++f) {
-        bytes[rng.Index(bytes.size())] ^= static_cast<char>(rng.Int(1, 255));
-      }
-    }
-    GbdtCostModel model;
-    if (model.Deserialize(bytes)) {
-      // A load that claims success must leave a usable model.
-      std::vector<double> scores = model.Predict(programs);
-      for (double s : scores) {
-        EXPECT_TRUE(std::isfinite(s));
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ModelFuzz, ::testing::Range(0, 4));
 
 TEST(SamplerFuzz, HighTweakProbabilityStaysSound) {
   // Force the compute-location tweak on every sample: many placements are

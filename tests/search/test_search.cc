@@ -255,6 +255,18 @@ TEST(SearchPolicy, TuneRoundDeadlineCancelsUnstartedTrials) {
   EXPECT_EQ(tuner.total_measures(), measurer.trial_count());
 }
 
+TEST(SearchPolicy, TuneTaskRejectsNonPositiveRoundSize) {
+  // A round of zero (or fewer) trials would never advance the trial count,
+  // so the tuning loop could never end.
+  Measurer measurer(MachineModel::IntelCpu20Core());
+  GbdtCostModel model;
+  SearchTask task = MakeTask(testing::Matmul(16, 16, 16));
+  SearchOptions options = testing::SmallSearchOptions();
+  EXPECT_DEATH(TuneTask(task, &measurer, &model, /*trials=*/8, /*measures_per_round=*/0, options),
+               "measures_per_round > 0");
+  EXPECT_DEATH(TuneTask(task, &measurer, &model, 8, -4, options), "measures_per_round > 0");
+}
+
 TEST(SearchPolicy, TaskIdStableAcrossConstruction) {
   SearchTask a = MakeTask(testing::Matmul(32, 32, 32));
   SearchTask b = MakeTask(testing::Matmul(32, 32, 32));

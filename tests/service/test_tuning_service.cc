@@ -266,8 +266,7 @@ TEST(TuningService, FleetRecordStoreAttributionIsExact) {
             totals.deduplicated);
   EXPECT_EQ(store.size(), static_cast<size_t>(totals.appended));
 
-  // Live measurements carry throughput into the store (the transfer-learning
-  // training signal a text log would have dropped).
+  // Live measurements carry their measured throughput into the store.
   for (const TuningRecord& record : store.Snapshot()) {
     EXPECT_GT(record.throughput, 0.0);
   }

@@ -207,7 +207,8 @@ TEST(TelemetryService, SpanDurationsSumToReportedTurnaround) {
 
 // The first pinned piece of the metric-name schema: the snapshot refreshes
 // the mirrored fleet gauges, so a tagged job with a record store and a trace
-// sink yields every one of them beside the live store and measurer gauges.
+// sink yields every one of them beside every gauge the job's cost model,
+// measurer and the record store export.
 TEST(TelemetryService, MetricsSnapshotJsonCarriesFleetGauges) {
   TraceSink sink;
   RecordStore store;
@@ -228,7 +229,9 @@ TEST(TelemetryService, MetricsSnapshotJsonCarriesFleetGauges) {
        {"service.shared_caches", "service.shared_cache.hits", "service.shared_cache.misses",
         "service.shared_cache.evictions", "service.shared_cache.cross_client_hits",
         "service.shared_cache.warm_inserts", "service.warm_start.loaded", "trace.spans",
-        "store.appended", "measurer.trials"}) {
+        "model.version", "model.train_calls", "model.programs_predicted", "model.samples",
+        "measurer.trials", "measurer.verifications", "store.appended", "store.deduplicated",
+        "store.improved", "store.size"}) {
     EXPECT_NE(json.find("\"name\":\"" + std::string(name) + "\""), std::string::npos)
         << name << " missing from " << json;
   }
