@@ -156,6 +156,7 @@ ComputeDAG::ComputeDAG(const std::vector<Tensor>& tensors) {
       consumers_[static_cast<size_t>(it->second)].push_back(static_cast<int>(i));
     }
   }
+  canonical_hash_ = ComputeCanonicalHash(ops_);
 }
 
 int ComputeDAG::OpIndexOf(const std::string& buffer_name) const {
@@ -255,10 +256,10 @@ std::unordered_map<std::string, std::vector<float>> ComputeDAG::RandomInputs(
   return inputs;
 }
 
-uint64_t ComputeDAG::CanonicalHash() const {
+uint64_t ComputeDAG::ComputeCanonicalHash(const std::vector<OperationRef>& ops) {
   Canonicalizer canon;
-  uint64_t h = 0xabcdef123456ULL;
-  for (const OperationRef& op : ops_) {
+  uint64_t h = kEmptyCanonicalHash;
+  for (const OperationRef& op : ops) {
     HashCombine(&h, static_cast<uint64_t>(op->kind));
     HashCombine(&h, static_cast<uint64_t>(canon.BufferId(op->name())));
     for (int64_t d : op->output->shape) {

@@ -5,6 +5,11 @@
 // the task scheduler deduplicates subgraphs by canonical hash, and the naive
 // executor provides the functional ground truth that every scheduled program
 // must reproduce.
+//
+// A DAG is immutable once constructed: no member rewrites its ops (schedule
+// steps that add stages or inline bodies rewrite a State's own op list, never
+// the DAG's). So the canonical hash is computed once, in the constructor, and
+// CanonicalHash() is a field read; copies carry the same value.
 #ifndef ANSOR_SRC_DAG_COMPUTE_DAG_H_
 #define ANSOR_SRC_DAG_COMPUTE_DAG_H_
 
@@ -53,15 +58,22 @@ class ComputeDAG {
 
   // Canonical structural hash: identical computation definitions hash equal
   // regardless of variable identities or buffer names (task deduplication,
-  // paper §6: "A subgraph can also appear multiple times").
-  uint64_t CanonicalHash() const;
+  // paper §6: "A subgraph can also appear multiple times"). It keys every
+  // program-cache lookup and every persisted record, so it is cached at
+  // construction rather than recomputed per call.
+  uint64_t CanonicalHash() const { return canonical_hash_; }
 
   std::string ToString() const;
 
  private:
+  // The hash of an op-free DAG: what a default-constructed DAG reports.
+  static constexpr uint64_t kEmptyCanonicalHash = 0xabcdef123456ULL;
+  static uint64_t ComputeCanonicalHash(const std::vector<OperationRef>& ops);
+
   std::vector<OperationRef> ops_;
   std::unordered_map<std::string, int> op_index_;
   std::vector<std::vector<int>> consumers_;
+  uint64_t canonical_hash_ = kEmptyCanonicalHash;
 };
 
 // Counts floating-point operations performed per evaluation of `e`

@@ -587,7 +587,7 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
     // workers then run the replay-heavy operators concurrently.
     CrossoverScoreCache score_cache(&artifacts, model_);
     struct Slot {
-      Rng rng{0};
+      Rng rng;
       bool crossover = false;
       bool dead = false;  // skeleton mismatch: fails without dispatching
       size_t pa = 0;
@@ -602,9 +602,12 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       size_t wave =
           std::min<size_t>(static_cast<size_t>(options_.population) - next.size(),
                            static_cast<size_t>(max_attempts - attempts));
-      std::vector<Slot> slots(wave);
-      for (Slot& slot : slots) {
-        slot.rng = rng_.Fork();
+      // Each slot is built from its fork: a default-built slot would seed an
+      // mt19937_64 only to overwrite it.
+      std::vector<Slot> slots;
+      slots.reserve(wave);
+      for (size_t s = 0; s < wave; ++s) {
+        Slot& slot = slots.emplace_back(Slot{rng_.Fork()});
         slot.crossover =
             slot.rng.Uniform() < options_.crossover_probability && n_valid >= 2;
         slot.pa = slot.rng.WeightedIndex(weights);

@@ -324,29 +324,35 @@ bool StructuralEqual(const Expr& a, const Expr& b) {
   return true;
 }
 
-Expr Substitute(const Expr& e, const std::function<Expr(const ExprNode&)>& lookup) {
+Expr Rewrite(const Expr& e, const std::function<Expr(const ExprNode&)>& visit) {
   if (!e.defined()) {
     return e;
   }
   const ExprNode& n = *e.get();
-  if (n.kind == ExprKind::kVar) {
-    Expr replacement = lookup(n);
-    return replacement.defined() ? replacement : e;
+  Expr replaced = visit(n);
+  if (replaced.defined()) {
+    return replaced;
   }
-  bool changed = false;
-  std::vector<Expr> new_operands;
-  new_operands.reserve(n.operands.size());
-  for (const Expr& operand : n.operands) {
-    Expr substituted = Substitute(operand, lookup);
-    changed |= (substituted.get() != operand.get());
-    new_operands.push_back(std::move(substituted));
+  // Copy-on-write: the node is copied on its first changed operand, and an
+  // unchanged subtree comes back as the same pointer.
+  std::shared_ptr<ExprNode> copy;
+  for (size_t i = 0; i < n.operands.size(); ++i) {
+    Expr operand = Rewrite(n.operands[i], visit);
+    if (operand.get() == n.operands[i].get()) {
+      continue;
+    }
+    if (copy == nullptr) {
+      copy = std::make_shared<ExprNode>(n);
+    }
+    copy->operands[i] = std::move(operand);
   }
-  if (!changed) {
-    return e;
-  }
-  auto node = std::make_shared<ExprNode>(n);
-  node->operands = std::move(new_operands);
-  return Expr(node);
+  return copy == nullptr ? e : Expr(std::move(copy));
+}
+
+Expr Substitute(const Expr& e, const std::function<Expr(const ExprNode&)>& lookup) {
+  return Rewrite(e, [&](const ExprNode& n) {
+    return n.kind == ExprKind::kVar ? lookup(n) : Expr();
+  });
 }
 
 void CollectLoads(const Expr& e, std::vector<const ExprNode*>* loads) {

@@ -181,7 +181,15 @@ std::string ToString(const Expr& e);
 uint64_t StructuralHash(const Expr& e);
 bool StructuralEqual(const Expr& a, const Expr& b);
 
-// Variable substitution: replaces each Var whose id appears in the map.
+// Copy-on-write rewrite, pre-order: a node for which `visit` returns a
+// defined Expr is replaced by it (its subtree is not visited); otherwise its
+// operands are rewritten. A node is copied only when an operand changed, and
+// every unchanged subtree is returned as the same pointer, so callers detect
+// "nothing changed" by pointer identity.
+Expr Rewrite(const Expr& e, const std::function<Expr(const ExprNode&)>& visit);
+
+// Variable substitution: replaces each Var for which `lookup` returns a
+// defined Expr. A Rewrite that visits only Vars.
 Expr Substitute(const Expr& e, const std::function<Expr(const ExprNode&)>& lookup);
 
 // Collects every Load node in the expression tree (pre-order).

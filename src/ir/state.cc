@@ -3,9 +3,18 @@
 #include <algorithm>
 #include <sstream>
 
-#include "src/support/util.h"
-
 namespace ansor {
+namespace {
+
+// *product = a * b; true (and *product unspecified) when the int64 product
+// overflows. Split lengths come from the sampler, mutation and persisted
+// records alike, so an overflowing product must fail the step, not the
+// process.
+bool MulOverflows(int64_t a, int64_t b, int64_t* product) {
+  return __builtin_mul_overflow(a, b, product);
+}
+
+}  // namespace
 
 int Stage::FindIter(const std::string& iter_name) const {
   for (size_t i = 0; i < iters.size(); ++i) {
@@ -260,10 +269,24 @@ bool State::ApplySplit(const Step& step, const std::vector<int64_t>& lengths) {
     if (l <= 0) {
       return Fail("split length must be positive");
     }
-    prod *= l;
+    if (MulOverflows(prod, l, &prod)) {
+      return Fail("split lengths overflow in " + step.stage);
+    }
   }
-  int64_t outer_extent = CeilDiv(old_iter.extent, prod);
-  bool exact = outer_extent * prod == old_iter.extent;
+  // ceil(extent / prod) without CeilDiv's `extent + prod - 1`, which can
+  // overflow for a valid `prod` near the int64 limit.
+  int64_t outer_extent = old_iter.extent / prod + (old_iter.extent % prod != 0 ? 1 : 0);
+  int64_t covered = 0;
+  if (MulOverflows(outer_extent, prod, &covered)) {
+    return Fail("split lengths overflow in " + step.stage);
+  }
+  // The outer part's stride is the largest new stride: every other one is
+  // old stride times a suffix product of `lengths`, which divides `prod`.
+  int64_t outer_stride = 0;
+  if (MulOverflows(old_iter.stride, prod, &outer_stride)) {
+    return Fail("split strides overflow in " + step.stage);
+  }
+  bool exact = covered == old_iter.extent;
   if (!exact && old_iter.orig_axis_id < 0) {
     return Fail("non-exact split of a fused iterator in " + step.stage);
   }
@@ -338,14 +361,18 @@ bool State::ApplyFuse(const Step& step) {
 
   int64_t fused_extent = 1;
   for (int j = 0; j < count; ++j) {
-    fused_extent *= stage.iters[static_cast<size_t>(first + j)].extent;
+    if (MulOverflows(fused_extent, stage.iters[static_cast<size_t>(first + j)].extent,
+                     &fused_extent)) {
+      return Fail("fused extent overflows in " + step.stage);
+    }
   }
   Iterator fused;
-  std::vector<std::string> names;
   for (int j = 0; j < count; ++j) {
-    names.push_back(stage.iters[static_cast<size_t>(first + j)].name);
+    if (j > 0) {
+      fused.name += '@';
+    }
+    fused.name += stage.iters[static_cast<size_t>(first + j)].name;
   }
-  fused.name = Join(names, "@");
   fused.extent = fused_extent;
   fused.kind = stage.iters[static_cast<size_t>(first)].kind;
   fused.var = MakeVar(fused.name, fused_extent);
@@ -477,37 +504,16 @@ bool State::ApplyComputeAt(const Step& step) {
 
 void State::RewriteConsumerBodies(const std::string& buffer_name,
                                   const std::function<Expr(const ExprNode&)>& rewrite) {
-  // `rewrite` maps a Load node of the named buffer to its replacement; we walk
-  // every stage body and rebuild ops whose body changed.
-  std::function<Expr(const Expr&)> walk = [&](const Expr& e) -> Expr {
-    const ExprNode& n = *e.get();
-    if (n.kind == ExprKind::kLoad && n.buffer->name == buffer_name) {
-      Expr replaced = rewrite(n);
-      if (replaced.defined()) {
-        return replaced;
-      }
-    }
-    bool changed = false;
-    std::vector<Expr> new_operands;
-    new_operands.reserve(n.operands.size());
-    for (const Expr& operand : n.operands) {
-      Expr w = walk(operand);
-      changed |= (w.get() != operand.get());
-      new_operands.push_back(std::move(w));
-    }
-    if (!changed) {
-      return e;
-    }
-    auto node = std::make_shared<ExprNode>(n);
-    node->operands = std::move(new_operands);
-    return Expr(node);
+  // `rewrite` maps a Load node of the named buffer to its replacement; every
+  // other node is kept, so a body without such a load keeps its op.
+  const std::function<Expr(const ExprNode&)> visit = [&](const ExprNode& n) -> Expr {
+    return n.kind == ExprKind::kLoad && n.buffer->name == buffer_name ? rewrite(n) : Expr();
   };
-
   for (Stage& s : stages_) {
     if (s.op->kind != OpKind::kCompute || s.name() == buffer_name) {
       continue;
     }
-    Expr new_body = walk(s.op->body);
+    Expr new_body = Rewrite(s.op->body, visit);
     if (new_body.get() != s.op->body.get()) {
       auto new_op = std::make_shared<Operation>(*s.op);
       new_op->body = std::move(new_body);
@@ -687,9 +693,10 @@ std::string StepSignature(const State& state) { return StepSignature(state.steps
 
 std::string StepSignature(const std::vector<Step>& steps) {
   std::string sig;
+  sig.reserve(steps.size() * 48);  // a typical step's text is 30-60 bytes
   for (const Step& step : steps) {
-    sig += step.ToString();
-    sig += ";";
+    step.AppendTo(&sig);
+    sig += ';';
   }
   return sig;
 }

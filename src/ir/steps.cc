@@ -1,8 +1,6 @@
 #include "src/ir/steps.h"
 
-#include <sstream>
-
-#include "src/support/util.h"
+#include <string>
 
 namespace ansor {
 
@@ -19,47 +17,73 @@ const char* IterAnnotationName(IterAnnotation ann) {
   return "?";
 }
 
-std::string Step::ToString() const {
-  std::ostringstream os;
+namespace {
+
+void AppendPart(std::string* out, const char* text) { *out += text; }
+void AppendPart(std::string* out, const std::string& text) { *out += text; }
+void AppendPart(std::string* out, int64_t value) { *out += std::to_string(value); }
+
+template <typename T>
+void AppendPart(std::string* out, const std::vector<T>& values) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) {
+      *out += ',';
+    }
+    AppendPart(out, static_cast<int64_t>(values[i]));
+  }
+}
+
+template <typename... Parts>
+void Append(std::string* out, const Parts&... parts) {
+  (AppendPart(out, parts), ...);
+}
+
+}  // namespace
+
+void Step::AppendTo(std::string* out) const {
   switch (kind) {
     case StepKind::kSplit:
-      os << "split(" << stage << ", iter=" << iter << ", lengths=[" << Join(lengths, ",")
-         << "])";
+      Append(out, "split(", stage, ", iter=", iter, ", lengths=[", lengths, "])");
       break;
     case StepKind::kFollowSplit:
-      os << "follow_split(" << stage << ", iter=" << iter << ", src=" << src_step
-         << ", parts=" << n_parts << ")";
+      Append(out, "follow_split(", stage, ", iter=", iter, ", src=", src_step, ", parts=",
+             n_parts, ")");
       break;
     case StepKind::kFuse:
-      os << "fuse(" << stage << ", iter=" << iter << ", count=" << fuse_count << ")";
+      Append(out, "fuse(", stage, ", iter=", iter, ", count=", fuse_count, ")");
       break;
     case StepKind::kReorder:
-      os << "reorder(" << stage << ", order=[" << Join(order, ",") << "])";
+      Append(out, "reorder(", stage, ", order=[", order, "])");
       break;
     case StepKind::kComputeAt:
-      os << "compute_at(" << stage << ", " << target_stage << ", iter=" << target_iter << ")";
+      Append(out, "compute_at(", stage, ", ", target_stage, ", iter=", target_iter, ")");
       break;
     case StepKind::kComputeInline:
-      os << "compute_inline(" << stage << ")";
+      Append(out, "compute_inline(", stage, ")");
       break;
     case StepKind::kComputeRoot:
-      os << "compute_root(" << stage << ")";
+      Append(out, "compute_root(", stage, ")");
       break;
     case StepKind::kCacheWrite:
-      os << "cache_write(" << stage << ")";
+      Append(out, "cache_write(", stage, ")");
       break;
     case StepKind::kRfactor:
-      os << "rfactor(" << stage << ", iter=" << iter << ")";
+      Append(out, "rfactor(", stage, ", iter=", iter, ")");
       break;
     case StepKind::kAnnotation:
-      os << "annotate(" << stage << ", iter=" << iter << ", " << IterAnnotationName(annotation)
-         << ")";
+      Append(out, "annotate(", stage, ", iter=", iter, ", ", IterAnnotationName(annotation),
+             ")");
       break;
     case StepKind::kPragma:
-      os << "pragma(" << stage << ", auto_unroll_max_step=" << pragma_value << ")";
+      Append(out, "pragma(", stage, ", auto_unroll_max_step=", pragma_value, ")");
       break;
   }
-  return os.str();
+}
+
+std::string Step::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 Step MakeSplitStep(const std::string& stage, int iter, std::vector<int64_t> lengths) {

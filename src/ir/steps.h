@@ -69,6 +69,13 @@ struct Step {
   // kPragma: auto_unroll_max_step value.
   int pragma_value = 0;
 
+  // Appends the step's canonical text, e.g. "split(C, iter=0, lengths=[4,2])",
+  // to *out. These bytes are the program's identity: StepSignature
+  // concatenates them to key the program cache and the record and artifact
+  // stores, so any change to them re-keys every persisted store. Built with
+  // plain appends (no stream), because a signature is taken on every cache
+  // lookup.
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 };
 

@@ -4,9 +4,11 @@
 // cache is injected through SearchOptions) and threads it through evolution,
 // measurement, training-feature extraction and the core API, so each
 // distinct program is lowered and feature-extracted once per task however
-// many consumers touch it. Entries are keyed by the DAG's canonical hash
-// plus the state's step signature, so a cache may safely be shared across
-// tasks (the cross-task reuse path of ROADMAP's open items).
+// many consumers touch it. Entries are keyed by "<DAG canonical hash>|<step
+// signature>", so a cache may safely be shared across tasks (the cross-task
+// reuse path of ROADMAP's open items). Taking a key costs one StepSignature
+// (plain string appends) and a field read: the DAG caches its canonical hash
+// at construction.
 //
 // Determinism: an artifact is a pure function of (DAG, step list), so a hit
 // is bit-identical to a rebuild — fixed-seed search results do not depend on

@@ -85,6 +85,21 @@ TEST(ComputeDAG, CanonicalHashEqualForIdenticalDefinitions) {
   EXPECT_EQ(a.CanonicalHash(), b.CanonicalHash());
 }
 
+TEST(ComputeDAG, CanonicalHashIsComputedOnceAndCarriedByCopies) {
+  ComputeDAG original = testing::Matmul(16, 16, 16);
+  ComputeDAG copy = original;
+  ComputeDAG assigned;
+  assigned = original;
+  ComputeDAG fresh = testing::Matmul(16, 16, 16);
+  EXPECT_EQ(copy.CanonicalHash(), original.CanonicalHash());
+  EXPECT_EQ(assigned.CanonicalHash(), original.CanonicalHash());
+  EXPECT_EQ(fresh.CanonicalHash(), original.CanonicalHash());
+  // Persisted records are keyed by this value: it must not drift.
+  EXPECT_EQ(original.CanonicalHash(), 0x3edd8b87e84f61ULL) << std::hex << "0x" << original.CanonicalHash();
+  // A default-constructed DAG reports the hash of an empty op list.
+  EXPECT_EQ(ComputeDAG().CanonicalHash(), 0xabcdef123456ULL);
+}
+
 TEST(ComputeDAG, CanonicalHashDiffersForDifferentShapes) {
   ComputeDAG a = testing::MatmulRelu(8, 8, 8);
   ComputeDAG b = testing::MatmulRelu(8, 8, 16);

@@ -97,6 +97,51 @@ TEST(Expr, SubstituteSharesUnchangedNodes) {
   EXPECT_EQ(sub.get(), e.get());
 }
 
+TEST(Expr, PartialSubstituteSharesUntouchedSiblings) {
+  Expr x = MakeVar("x");
+  Expr y = MakeVar("y");
+  Expr left = x * IntImm(4) + y;     // holds the substituted var
+  Expr right = (y + IntImm(3)) * y;  // untouched
+  Expr e = Select(left < IntImm(8), left, right);
+  int64_t id = x->var_id;
+  Expr sub = Substitute(e, [&](const ExprNode& var) {
+    return var.var_id == id ? Expr(IntImm(1)) : Expr();
+  });
+  ASSERT_NE(sub.get(), e.get());
+  // The untouched operand and every untouched node below a changed one come
+  // back as the same pointer; only the path to `x` is copied.
+  EXPECT_EQ(sub->operands[2].get(), right.get());
+  const Expr& new_left = sub->operands[1];
+  ASSERT_NE(new_left.get(), left.get());
+  EXPECT_EQ(new_left->operands[1].get(), y.get());
+  EXPECT_EQ(new_left->operands[0]->operands[1].get(), left->operands[0]->operands[1].get());
+  EXPECT_EQ(new_left->operands[0]->operands[0]->int_value, 1);
+  // The original is unchanged.
+  EXPECT_EQ(left->operands[0]->operands[0].get(), x.get());
+  EvalContext ctx;
+  ctx.vars[y->var_id] = 2;
+  EXPECT_EQ(Evaluate(sub, &ctx).AsInt(), 6);  // 1 * 4 + 2 < 8
+}
+
+TEST(Expr, RewriteReplacesWholeSubtreesAndSharesTheRest) {
+  Tensor a = Placeholder("A", {4});
+  Tensor b = Placeholder("B", {4});
+  Expr i = MakeVar("i", 4);
+  Expr load_a = a(i);
+  Expr load_b = b(i);
+  Expr e = load_a * load_b + load_b;
+  Expr rewritten = Rewrite(e, [&](const ExprNode& n) {
+    return n.kind == ExprKind::kLoad && n.buffer->name == "A" ? Expr(FloatImm(2.0)) : Expr();
+  });
+  ASSERT_NE(rewritten.get(), e.get());
+  EXPECT_EQ(rewritten->operands[1].get(), load_b.get());
+  EXPECT_EQ(rewritten->operands[0]->operands[0]->float_value, 2.0);
+  EXPECT_EQ(rewritten->operands[0]->operands[1].get(), load_b.get());
+  // A rewrite that matches nothing returns the input pointer itself.
+  Expr same = Rewrite(e, [](const ExprNode&) { return Expr(); });
+  EXPECT_EQ(same.get(), e.get());
+}
+
 TEST(Expr, StructuralHashEqual) {
   Expr x = MakeVar("x");
   Expr a = Expr(x) + IntImm(1);

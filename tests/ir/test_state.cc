@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/ir/state.h"
+#include "src/sampler/annotation.h"
+#include "src/sketch/sketch.h"
+#include "src/store/bytes.h"
+#include "src/workloads/operators.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -302,6 +308,157 @@ TEST(State, FollowSplitMirrorsSourceLengths) {
   EXPECT_EQ(d.iters[0].extent, 2);  // outer = 16/(2*4)
   EXPECT_EQ(d.iters[1].extent, 2);
   EXPECT_EQ(d.iters[2].extent, 4);
+}
+
+
+// --- Overflowing products fail the step, not the process ----------------------
+
+TEST(State, SplitWithOverflowingLengthsFails) {
+  // 2^32 * 2^32 wraps int64 to 0, and ceil(64 / 0) would raise SIGFPE.
+  ComputeDAG dag = testing::Matmul(64, 64, 64);
+  State state(&dag);
+  EXPECT_FALSE(state.Split("C", 0, {int64_t{1} << 32, int64_t{1} << 32}));
+  EXPECT_TRUE(state.failed());
+  EXPECT_NE(state.error().find("overflow"), std::string::npos) << state.error();
+  EXPECT_TRUE(state.steps().empty());
+}
+
+TEST(State, SplitNearInt64LimitKeepsOuterExtentOne) {
+  // The product fits, but ceil(64 / prod) must not be computed as
+  // (64 + prod - 1) / prod, which overflows.
+  ComputeDAG dag = testing::Matmul(64, 64, 64);
+  State state(&dag);
+  ASSERT_TRUE(state.Split("C", 0, {std::numeric_limits<int64_t>::max()})) << state.error();
+  const Stage& c = state.stage(state.StageIndex("C"));
+  EXPECT_EQ(c.iters[0].extent, 1);
+  EXPECT_EQ(c.guarded_axes.size(), 1u);
+}
+
+TEST(State, SplitWithOverflowingStrideFails) {
+  ComputeDAG dag = testing::Matmul(64, 64, 64);
+  State state(&dag);
+  // i -> [i.0 (extent 1, stride 2^40), i.1 (extent 2^40)], a non-exact split.
+  ASSERT_TRUE(state.Split("C", 0, {int64_t{1} << 40})) << state.error();
+  EXPECT_EQ(state.stage(state.StageIndex("C")).iters[0].stride, int64_t{1} << 40);
+  // Splitting i.0 by 2^30 would give it stride 2^40 * 2^30.
+  EXPECT_FALSE(state.Split("C", 0, {int64_t{1} << 30}));
+  EXPECT_NE(state.error().find("overflow"), std::string::npos) << state.error();
+}
+
+TEST(State, FuseWithOverflowingExtentFails) {
+  ComputeDAG dag = testing::Matmul(64, 64, 64);
+  State state(&dag);
+  ASSERT_TRUE(state.Split("C", 0, {int64_t{1} << 40}));  // [i.0, i.1, j, k]
+  ASSERT_TRUE(state.Split("C", 2, {int64_t{1} << 40}));  // [i.0, i.1, j.0, j.1, k]
+  // i.1 * j.0 * j.1 = 2^80.
+  EXPECT_FALSE(state.Fuse("C", 1, 3));
+  EXPECT_NE(state.error().find("overflow"), std::string::npos) << state.error();
+}
+
+TEST(State, ReplayOfOverflowingSplitFails) {
+  ComputeDAG dag = testing::Matmul(64, 64, 64);
+  State replayed = State::Replay(
+      &dag, {MakeSplitStep("C", 1, {4}),
+             MakeSplitStep("C", 0, {int64_t{1} << 32, int64_t{1} << 32})});
+  EXPECT_TRUE(replayed.failed());
+  EXPECT_EQ(replayed.steps().size(), 1u);  // the valid prefix only
+  State follow = State::Replay(
+      &dag, {MakeSplitStep("C", 0, {int64_t{1} << 40}), MakeSplitStep("C", 2, {int64_t{1} << 40}),
+             MakeFuseStep("C", 1, 3)});
+  EXPECT_TRUE(follow.failed());
+}
+
+// --- Copy-on-write rewrites share what they do not change -----------------------
+
+TEST(State, ComputeInlineSharesUntouchedSubtreesAndOps) {
+  ComputeDAG dag = testing::ReluPadMatmul();
+  State state(&dag);
+  const OperationRef c_before = state.stage(state.StageIndex("C")).op;
+  const OperationRef e_before = state.stage(state.StageIndex("E")).op;
+  ASSERT_TRUE(state.ComputeInline("B"));
+  const OperationRef& c_after = state.stage(state.StageIndex("C")).op;
+  // C = select(cond, B[...], 0): only the middle operand loads B.
+  ASSERT_NE(c_after.get(), c_before.get());
+  ASSERT_EQ(c_after->body.kind(), ExprKind::kSelect);
+  EXPECT_NE(c_after->body->operands[1].get(), c_before->body->operands[1].get());
+  EXPECT_EQ(c_after->body->operands[0].get(), c_before->body->operands[0].get());
+  EXPECT_EQ(c_after->body->operands[2].get(), c_before->body->operands[2].get());
+  // E never reads B: its op is not copied at all.
+  EXPECT_EQ(state.stage(state.StageIndex("E")).op.get(), e_before.get());
+}
+
+TEST(State, SplitLeavesOtherAxisReconstructionsShared) {
+  ComputeDAG dag = testing::Matmul();
+  State state(&dag);
+  const Stage& before = state.stage(0);
+  std::unordered_map<int64_t, const ExprNode*> old_values;
+  for (const auto& [axis, value] : before.axis_value) {
+    old_values[axis] = value.get();
+  }
+  const int64_t split_axis = before.iters[0].orig_axis_id;
+  ASSERT_TRUE(state.Split("C", 0, {4}));
+  for (const auto& [axis, value] : state.stage(0).axis_value) {
+    if (axis == split_axis) {
+      EXPECT_NE(value.get(), old_values[axis]);
+    } else {
+      EXPECT_EQ(value.get(), old_values[axis]) << "axis " << axis << " was copied";
+    }
+  }
+}
+
+// --- Golden signature bytes ----------------------------------------------------
+
+// FNV-1a over the StepSignature of one step of every kind, then of 96
+// fixed-seed sampled programs (16 per DAG, three DAGs, CPU and GPU). The
+// signature bytes key the program cache and every persisted record, so the
+// constant must never be re-pinned: a mismatch means existing stores no
+// longer match the programs they describe.
+TEST(StepSignature, GoldenHashOverEveryKindAndSampledPrograms) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const std::string& sig) {
+    h ^= Fnv1a64(sig.data(), sig.size());
+    h *= 0x100000001b3ULL;
+  };
+  mix(StepSignature(std::vector<Step>{
+      MakeSplitStep("C", 0, {8, 4}),
+      MakeFollowSplitStep("D", 1, 0, 2),
+      MakeFuseStep("C", 0, 2),
+      MakeReorderStep("C", {2, 0, 1}),
+      MakeComputeAtStep("C", "D", 1),
+      MakeComputeInlineStep("B"),
+      MakeComputeRootStep("B"),
+      MakeCacheWriteStep("C"),
+      MakeRfactorStep("S", 1),
+      MakeAnnotationStep("C", 0, IterAnnotation::kParallel),
+      MakeAnnotationStep("C", 3, IterAnnotation::kThreadX),
+      MakePragmaStep("C", 512),
+  }));
+  std::vector<ComputeDAG> dags = {testing::MatmulRelu(64, 64, 64),
+                                  MakeConv2d(1, 16, 14, 14, 32, 3, 3, 1, 1),
+                                  testing::MatrixNorm(8, 256)};
+  int sampled = 0;
+  for (bool gpu : {false, true}) {
+    SamplerOptions options;
+    options.gpu = gpu;
+    for (size_t d = 0; d < dags.size(); ++d) {
+      std::vector<State> sketches = GenerateSketches(&dags[d]);
+      ASSERT_FALSE(sketches.empty());
+      Rng rng(1000 + d + (gpu ? 100 : 0));
+      int kept = 0;
+      for (int attempt = 0; attempt < 400 && kept < 16; ++attempt) {
+        State program = SampleCompleteProgram(sketches[rng.Index(sketches.size())], &dags[d],
+                                              &rng, options);
+        if (program.failed()) {
+          continue;
+        }
+        mix(StepSignature(program));
+        ++kept;
+      }
+      sampled += kept;
+    }
+  }
+  EXPECT_EQ(sampled, 96);
+  EXPECT_EQ(h, 0x5443d2f65b1c5304ULL) << std::hex << "0x" << h;
 }
 
 }  // namespace

@@ -38,6 +38,40 @@ TEST(Steps, ToStringIsInformative) {
   EXPECT_NE(MakeReorderStep("C", {1, 0}).ToString().find("reorder"), std::string::npos);
 }
 
+// The canonical text of every step kind, byte for byte. These bytes are the
+// program identity (StepSignature) that keys the program cache and every
+// persisted record, so a change here silently re-keys existing stores.
+TEST(Steps, ToStringPinsExactTextPerKind) {
+  EXPECT_EQ(MakeSplitStep("C", 1, {4, 2}).ToString(), "split(C, iter=1, lengths=[4,2])");
+  EXPECT_EQ(MakeSplitStep("C.cache", 0, {int64_t{1} << 40}).ToString(),
+            "split(C.cache, iter=0, lengths=[1099511627776])");
+  EXPECT_EQ(MakeFollowSplitStep("D", 0, 3, 2).ToString(),
+            "follow_split(D, iter=0, src=3, parts=2)");
+  EXPECT_EQ(MakeFuseStep("C", 0, 4).ToString(), "fuse(C, iter=0, count=4)");
+  EXPECT_EQ(MakeReorderStep("C", {2, 0, 1}).ToString(), "reorder(C, order=[2,0,1])");
+  EXPECT_EQ(MakeReorderStep("C", {}).ToString(), "reorder(C, order=[])");
+  EXPECT_EQ(MakeComputeAtStep("C", "D", 3).ToString(), "compute_at(C, D, iter=3)");
+  EXPECT_EQ(MakeComputeInlineStep("B").ToString(), "compute_inline(B)");
+  EXPECT_EQ(MakeComputeRootStep("B").ToString(), "compute_root(B)");
+  EXPECT_EQ(MakeCacheWriteStep("C").ToString(), "cache_write(C)");
+  EXPECT_EQ(MakeRfactorStep("S", 2).ToString(), "rfactor(S, iter=2)");
+  EXPECT_EQ(MakeAnnotationStep("C", 5, IterAnnotation::kVectorize).ToString(),
+            "annotate(C, iter=5, vectorize)");
+  EXPECT_EQ(MakeAnnotationStep("C", 0, IterAnnotation::kBlockX).ToString(),
+            "annotate(C, iter=0, blockIdx.x)");
+  EXPECT_EQ(MakePragmaStep("C", 16).ToString(), "pragma(C, auto_unroll_max_step=16)");
+  // Field values a crafted record can carry still print as plain decimals.
+  Step odd = MakeFollowSplitStep("D", -1, -7, 0);
+  EXPECT_EQ(odd.ToString(), "follow_split(D, iter=-1, src=-7, parts=0)");
+}
+
+TEST(Steps, AppendToAppendsToExistingText) {
+  std::string out = "prefix;";
+  MakeSplitStep("C", 1, {4, 2}).AppendTo(&out);
+  MakePragmaStep("C", 64).AppendTo(&out);
+  EXPECT_EQ(out, "prefix;split(C, iter=1, lengths=[4,2])pragma(C, auto_unroll_max_step=64)");
+}
+
 TEST(Steps, AnnotationNames) {
   EXPECT_STREQ(IterAnnotationName(IterAnnotation::kParallel), "parallel");
   EXPECT_STREQ(IterAnnotationName(IterAnnotation::kVectorize), "vectorize");

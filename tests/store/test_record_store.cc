@@ -517,6 +517,24 @@ TEST(RecordLogTest, ReplayBestReconstructsProgram) {
   std::remove(path.c_str());
 }
 
+TEST(RecordStoreReplay, ReplayBestOfCraftedOverflowingSplitFails) {
+  // A persisted record whose split lengths multiply past int64 must replay to
+  // a failed state, not kill the process.
+  ComputeDAG dag = testing::Matmul(64, 64, 64);
+  TuningRecord crafted;
+  crafted.task_id = dag.CanonicalHash();
+  crafted.seconds = 1e-6;
+  crafted.steps = {MakeSplitStep("C", 0, {int64_t{1} << 32, int64_t{1} << 32})};
+  RecordStore written;
+  ASSERT_TRUE(written.Add(crafted));
+  RecordStore store;
+  ASSERT_TRUE(store.Deserialize(written.Serialize()));
+  ASSERT_EQ(store.size(), 1u);
+  State replayed = store.ReplayBest(&dag);
+  EXPECT_TRUE(replayed.failed());
+  EXPECT_NE(replayed.error().find("overflow"), std::string::npos) << replayed.error();
+}
+
 TEST(RecordStoreReplay, ReplayBestFailsForUnknownTask) {
   RecordStore store;
   ComputeDAG dag = testing::Matmul(8, 8, 8);
