@@ -1,18 +1,12 @@
 #include "src/costmodel/cost_model.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "src/support/logging.h"
 #include "src/support/util.h"
 
 namespace ansor {
-
-CostModel::CostModel() {
-  static std::atomic<uint64_t> next_id{1};
-  model_id_ = next_id.fetch_add(1);
-}
 
 void CostModel::ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const {
   registry->SetGauge(prefix + ".version", static_cast<double>(version()));
@@ -66,7 +60,7 @@ void GbdtCostModel::Update(uint64_t task_id,
   model_ = Gbdt(params_);
   model_.Train(data_);
   CountTrain();
-  BumpVersion();  // invalidates stage-score memos on cached artifacts
+  BumpVersion();
 }
 
 void GbdtCostModel::ExportMetrics(MetricsRegistry* registry,
@@ -120,7 +114,7 @@ std::vector<double> RandomCostModel::PredictBatch(
 std::vector<double> RandomCostModel::PredictStatements(const FeatureMatrix& rows) {
   // Stateless by design (see the class comment): each row's score derives
   // from its contents and the seed, never from how many rows were scored
-  // before, so memoized statement scores replay bit-identically.
+  // before, so per-call memoized statement scores replay bit-identically.
   std::vector<double> scores;
   scores.reserve(rows.rows());
   for (size_t r = 0; r < rows.rows(); ++r) {

@@ -16,6 +16,13 @@
 // PredictBatch over borrowed matrices, and statement scoring once, in
 // PredictStatements; Predict and PredictStatementsBatch are base-class
 // defaults built on those two, so no feature is copied to be scored.
+//
+// Concurrency: Predict* calls on one model may overlap each other (the one
+// exception is RandomCostModel::PredictBatch, which advances a seeded
+// stream), but never an Update: GbdtCostModel::Update rebuilds the model and
+// appends to its training data with no lock. A model may therefore be shared
+// only by drivers that never run at the same time (see JobSpec in
+// src/service/tuning_service.h).
 #ifndef ANSOR_SRC_COSTMODEL_COST_MODEL_H_
 #define ANSOR_SRC_COSTMODEL_COST_MODEL_H_
 
@@ -43,11 +50,11 @@ class CostModel {
   //    the model only learns zero-throughput from confirmed-bad programs.
   static constexpr double kInvalidScore = -1e9;
 
-  CostModel();
+  CostModel() = default;
   virtual ~CostModel() = default;
 
-  // Non-copyable: a copy would duplicate the (model_id, version) stamp and
-  // could alias stage-score memos between models whose training diverged.
+  // Non-copyable: drivers share a model by pointer, and its training data
+  // and call counters belong to one instance.
   CostModel(const CostModel&) = delete;
   CostModel& operator=(const CostModel&) = delete;
 
@@ -71,9 +78,11 @@ class CostModel {
 
   // Per-statement scores for one program (used by node-based crossover to
   // score the rewriting steps of individual DAG nodes). Implementations must
-  // be pure functions of (rows, model state): the ProgramCache memoizes the
-  // result keyed by (model_id, version), so a hidden per-call state (e.g. a
-  // shared RNG stream) would make search results depend on cache capacity.
+  // be pure functions of (rows, model state): EvolutionarySearch::Evolve
+  // memoizes the result per ProgramArtifact for the length of one call, so a
+  // hidden per-call state (e.g. a shared RNG stream) would make search
+  // results depend on how many lookups the ProgramCache serves from one
+  // artifact, i.e. on its capacity.
   virtual std::vector<double> PredictStatements(const FeatureMatrix& rows) = 0;
 
   // Batched form of PredictStatements: scores several programs in one call
@@ -83,11 +92,9 @@ class CostModel {
   virtual std::vector<std::vector<double>> PredictStatementsBatch(
       const std::vector<const FeatureMatrix*>& programs);
 
-  // Cache stamp for memoized predictions (ProgramArtifact stage scores):
-  // model_id is unique per instance for the lifetime of the process, version
-  // bumps on every Update that may change predictions. A memo computed under
-  // a matching (model_id, version) stamp equals a fresh prediction.
-  uint64_t model_id() const { return model_id_; }
+  // Model generation: bumps on every Update that may change predictions,
+  // and is exported as the <prefix>.version gauge. A decorator that forwards
+  // to another model bumps its own version when the inner one moves.
   uint64_t version() const { return version_; }
 
   // Call-volume counters, incremented by implementations via CountTrain /
@@ -111,7 +118,6 @@ class CostModel {
   }
 
  private:
-  uint64_t model_id_;
   uint64_t version_ = 1;
   std::atomic<int64_t> train_calls_{0};
   std::atomic<int64_t> programs_predicted_{0};
@@ -148,8 +154,8 @@ class GbdtCostModel : public CostModel {
 // A model returning uniform random scores: the exploration floor used by
 // tests and the "random" ablations. PredictBatch draws from a seeded stream;
 // PredictStatements is stateless (scores derive from hashing the row
-// contents with the seed) so that statement-score memoization in the
-// ProgramCache cannot perturb later predictions through the stream.
+// contents with the seed) so that Evolve's per-call statement-score memo
+// cannot perturb later predictions through the stream.
 class RandomCostModel : public CostModel {
  public:
   explicit RandomCostModel(uint64_t seed = 0) : seed_(seed), rng_(seed) {}

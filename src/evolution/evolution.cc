@@ -33,7 +33,7 @@ bool SkeletonsMatch(const State& a, const State& b) {
 // both sizes defends against a model returning the wrong row count.
 void AccumulateStageScores(const std::vector<double>& preds,
                            const std::vector<std::string>& row_stages,
-                           CrossoverScoreCache::StageScores* scores) {
+                           std::unordered_map<std::string, double>* scores) {
   for (size_t r = 0; r < preds.size() && r < row_stages.size(); ++r) {
     (*scores)[row_stages[r]] += preds[r];
   }
@@ -41,72 +41,12 @@ void AccumulateStageScores(const std::vector<double>& preds,
 
 }  // namespace
 
-// --- CrossoverScoreCache ------------------------------------------------------
-
 void AccumulateEvolutionStats(const EvolutionStats& delta, EvolutionStats* total) {
   total->child_attempts += delta.child_attempts;
   total->children_generated += delta.children_generated;
   total->statically_rejected += delta.statically_rejected;
   total->crossover_score_hits += delta.crossover_score_hits;
   total->crossover_score_misses += delta.crossover_score_misses;
-  total->program_cache_hits += delta.program_cache_hits;
-  total->program_cache_misses += delta.program_cache_misses;
-  total->program_cache_evictions += delta.program_cache_evictions;
-}
-
-CrossoverScoreCache::CrossoverScoreCache(const std::vector<ProgramArtifactPtr>* artifacts,
-                                         CostModel* model)
-    : artifacts_(artifacts), model_(model) {
-  resolved_.resize(artifacts_->size());
-  status_.assign(artifacts_->size(), 0);
-}
-
-void CrossoverScoreCache::Request(size_t i) {
-  CHECK_LT(i, status_.size());
-  if (status_[i] != 0) {
-    ++hits_;
-    return;
-  }
-  // A memo installed by an earlier generation or tuning round counts as a
-  // hit too, as long as the model has not retrained since.
-  if (auto memo = (*artifacts_)[i]->stage_scores(model_->model_id(), model_->version())) {
-    resolved_[i] = std::move(memo);
-    status_[i] = 2;
-    ++hits_;
-    return;
-  }
-  ++misses_;
-  status_[i] = 1;
-  pending_.push_back(i);
-}
-
-void CrossoverScoreCache::Flush() {
-  if (pending_.empty()) {
-    return;
-  }
-  std::vector<const FeatureMatrix*> programs;
-  programs.reserve(pending_.size());
-  for (size_t i : pending_) {
-    programs.push_back(&(*artifacts_)[i]->features());
-  }
-  std::vector<std::vector<double>> preds = model_->PredictStatementsBatch(programs);
-  for (size_t p = 0; p < pending_.size(); ++p) {
-    size_t i = pending_[p];
-    auto scored = std::make_shared<ScoredStages>();
-    scored->model_id = model_->model_id();
-    scored->model_version = model_->version();
-    AccumulateStageScores(preds[p], (*artifacts_)[i]->row_stages(), &scored->scores);
-    (*artifacts_)[i]->set_stage_scores(scored);
-    resolved_[i] = std::move(scored);
-    status_[i] = 2;
-  }
-  pending_.clear();
-}
-
-const CrossoverScoreCache::StageScores& CrossoverScoreCache::Get(size_t i) const {
-  CHECK_LT(i, status_.size());
-  CHECK_EQ(status_[i], 2);
-  return resolved_[i]->scores;
 }
 
 // --- EvolutionarySearch -------------------------------------------------------
@@ -370,26 +310,15 @@ State EvolutionarySearch::MutateComputeLocation(const State& state, Rng* rng) {
   return Normalized(State::Replay(dag_, steps));
 }
 
-CrossoverScoreCache::StageScores EvolutionarySearch::ComputeStageScores(const State& s) {
-  CrossoverScoreCache::StageScores scores;
+EvolutionarySearch::StageScores EvolutionarySearch::ComputeStageScores(const State& s) {
+  StageScores scores;
   ProgramArtifactPtr artifact = options_.program_cache != nullptr
                                     ? options_.program_cache->GetOrBuild(s, options_.cache_client_id)
                                     : std::make_shared<const ProgramArtifact>(s);
-  if (!artifact->ok()) {
-    return scores;
+  if (artifact->ok()) {
+    AccumulateStageScores(model_->PredictStatements(artifact->features()),
+                          artifact->row_stages(), &scores);
   }
-  // Honor and feed the same memo the hot path uses, so the public Crossover
-  // also scores a parent at most once per cost-model version.
-  if (auto memo = artifact->stage_scores(model_->model_id(), model_->version())) {
-    return memo->scores;
-  }
-  AccumulateStageScores(model_->PredictStatements(artifact->features()),
-                        artifact->row_stages(), &scores);
-  auto scored = std::make_shared<ScoredStages>();
-  scored->model_id = model_->model_id();
-  scored->model_version = model_->version();
-  scored->scores = scores;
-  artifact->set_stage_scores(std::move(scored));
   return scores;
 }
 
@@ -403,8 +332,7 @@ State EvolutionarySearch::Crossover(const State& a, const State& b) {
 }
 
 State EvolutionarySearch::Crossover(const State& a, const State& b,
-                                    const CrossoverScoreCache::StageScores& score_a,
-                                    const CrossoverScoreCache::StageScores& score_b,
+                                    const StageScores& score_a, const StageScores& score_b,
                                     Rng* rng) {
   // Node-based crossover: the child adopts, per DAG node, the step parameters
   // of the parent whose node the cost model scores higher (with randomized
@@ -472,7 +400,6 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
     local_cache.emplace();
     cache = &*local_cache;
   }
-  const ProgramCacheStats cache_before = cache->stats();
 
   // Shared immutable handles (lifetime contract in evolution.h): init's
   // states are copied in once; every later State is built by a pool worker.
@@ -495,6 +422,47 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
   };
   std::vector<std::pair<double, Entry>> best;
   std::unordered_set<std::string> best_sigs;
+
+  // Crossover parent scores for this call, keyed by artifact identity. Each
+  // entry holds its artifact, so no key address is reused while the call
+  // runs. Entries are created on the calling thread while slots are planned
+  // and scored before the wave that reads them, so pool workers only read.
+  struct ParentScores {
+    ProgramArtifactPtr artifact;
+    StageScores scores;
+  };
+  std::unordered_map<const ProgramArtifact*, ParentScores> parent_scores;
+  std::vector<ParentScores*> unscored;
+  // The scores of `artifact`, filled in by the next score_parents() if this
+  // call has not requested it before.
+  auto request_scores = [&](const ProgramArtifactPtr& artifact) {
+    auto [it, inserted] = parent_scores.try_emplace(artifact.get());
+    if (inserted) {
+      ++stats_.crossover_score_misses;
+      it->second.artifact = artifact;
+      unscored.push_back(&it->second);
+    } else {
+      ++stats_.crossover_score_hits;
+    }
+    return &it->second.scores;
+  };
+  // Scores every requested-but-unscored parent with one batched model call.
+  auto score_parents = [&] {
+    if (unscored.empty()) {
+      return;
+    }
+    std::vector<const FeatureMatrix*> programs;
+    programs.reserve(unscored.size());
+    for (const ParentScores* entry : unscored) {
+      programs.push_back(&entry->artifact->features());
+    }
+    std::vector<std::vector<double>> preds = model_->PredictStatementsBatch(programs);
+    for (size_t p = 0; p < unscored.size(); ++p) {
+      AccumulateStageScores(preds[p], unscored[p]->artifact->row_stages(),
+                            &unscored[p]->scores);
+    }
+    unscored.clear();
+  };
 
   for (int gen = 0; gen <= options_.generations; ++gen) {
     TraceSpan gen_span(evo_span.enabled()
@@ -585,13 +553,14 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
     // planned serially — each forks its own RNG stream and draws its
     // operator and parents — so the result is independent of thread count;
     // workers then run the replay-heavy operators concurrently.
-    CrossoverScoreCache score_cache(&artifacts, model_);
     struct Slot {
       Rng rng;
       bool crossover = false;
       bool dead = false;  // skeleton mismatch: fails without dispatching
       size_t pa = 0;
       size_t pb = 0;
+      const StageScores* score_a = nullptr;  // crossover parents' scores
+      const StageScores* score_b = nullptr;
     };
     std::vector<StatePtr> next;
     next.reserve(static_cast<size_t>(options_.population));
@@ -615,14 +584,14 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
           slot.pb = slot.rng.WeightedIndex(weights);
           slot.dead = !SkeletonsMatch(*population[slot.pa], *population[slot.pb]);
           if (!slot.dead) {
-            score_cache.Request(slot.pa);
-            score_cache.Request(slot.pb);
+            slot.score_a = request_scores(artifacts[slot.pa]);
+            slot.score_b = request_scores(artifacts[slot.pb]);
           }
         }
       }
       {
         TraceSpan flush(gen_ptr, "model_predict", "costmodel");
-        score_cache.Flush();
+        score_parents();
       }
       // A null handle marks a discarded slot (dead or failed child).
       std::vector<StatePtr> children(wave);
@@ -639,8 +608,7 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
         }
         State child = slot.crossover
                           ? Crossover(*population[slot.pa], *population[slot.pb],
-                                      score_cache.Get(slot.pa), score_cache.Get(slot.pb),
-                                      &slot.rng)
+                                      *slot.score_a, *slot.score_b, &slot.rng)
                           : RandomMutation(*population[slot.pa], &slot.rng);
         if (child.failed()) {
           return;
@@ -676,18 +644,11 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
         }
       }
     }
-    stats_.crossover_score_hits += score_cache.hits();
-    stats_.crossover_score_misses += score_cache.misses();
     if (next.empty()) {
       break;
     }
     population = std::move(next);
   }
-
-  const ProgramCacheStats cache_after = cache->stats();
-  stats_.program_cache_hits = cache_after.hits - cache_before.hits;
-  stats_.program_cache_misses = cache_after.misses - cache_before.misses;
-  stats_.program_cache_evictions = cache_after.evictions - cache_before.evictions;
 
   // The only State copies made after init: handles never escape Evolve.
   std::vector<State> out;

@@ -30,11 +30,14 @@
 //   3. child generation runs on a thread pool in waves, each slot drawing
 //      from its own deterministically forked RNG stream, so results are
 //      bit-identical across thread counts for a fixed seed;
-//   4. crossover reads per-stage parent scores from CrossoverScoreCache,
-//      whose storage is the artifacts themselves: a parent is
-//      PredictStatements-scored at most once per cost-model version, and the
-//      memo survives across generations and tuning rounds for as long as the
-//      artifact stays cached.
+//   4. crossover reads per-stage parent scores from a memo private to the
+//      Evolve call, keyed by artifact identity: each wave's new parents are
+//      scored with one batched PredictStatementsBatch call, so an artifact
+//      is scored at most once per call whatever the generation or wave that
+//      needs it again. The memo holds each artifact it keys (no address is
+//      reused while the call runs) and dies with the call: the tuner
+//      retrains its model between two Evolve calls of a task, so scores
+//      kept longer would never be read again.
 // What stays serial on the calling thread: slot planning (RNG forks, parent
 // draws, skeleton checks), the batched model calls, admitting children and
 // sorting the best set, and destroying a retired generation.
@@ -80,11 +83,11 @@ struct EvolutionOptions {
   // ThreadPool::Global(). Injectable so tests can prove that search results
   // are invariant to the thread count (pool size 1 vs N).
   ThreadPool* thread_pool = nullptr;
-  // Compiled-program cache serving lowering/features/stage-scores. nullptr
-  // means Evolve uses a private per-call cache; the search policy injects
-  // its task-lifetime cache here so artifacts (and their crossover score
-  // memos) survive across generations and tuning rounds. Results are
-  // bit-identical for any cache and any capacity, including 0 = disabled.
+  // Compiled-program cache serving lowering and features. nullptr means
+  // Evolve uses a private per-call cache; the search policy injects its
+  // task-lifetime cache here so artifacts survive across tuning rounds.
+  // Results are bit-identical for any cache and any capacity, including
+  // 0 = disabled.
   ProgramCache* program_cache = nullptr;
   // Consumer id tagged onto every program_cache lookup so a cache shared
   // across tasks can attribute cross-task reuse (ProgramCache::GetOrBuild).
@@ -118,60 +121,16 @@ struct EvolutionStats {
   // measurement: population members zero-weighted during scoring and, in
   // invariant mode, children discarded at construction site.
   int64_t statically_rejected = 0;
-  // Crossover parent stage-score lookups served from a memo (same wave, an
-  // earlier generation, or an earlier round at the same model version) vs
-  // computed fresh (bounded by one scoring per population member per
-  // generation; the serial code recomputed both parents every call).
+  // Crossover parent stage-score lookups served from the call's memo (the
+  // artifact was requested earlier in this call) vs scored fresh; a miss is
+  // one artifact's PredictStatements scoring.
   int64_t crossover_score_hits = 0;
   int64_t crossover_score_misses = 0;
-  // ProgramCache activity observed during the Evolve() call (counter deltas;
-  // approximate if the injected cache is shared with concurrent users).
-  int64_t program_cache_hits = 0;
-  int64_t program_cache_misses = 0;
-  int64_t program_cache_evictions = 0;
 };
 
 // Adds `delta`'s counters into `total`: stats() resets per Evolve() call, so
 // a round-spanning consumer (TaskTuner) accumulates.
 void AccumulateEvolutionStats(const EvolutionStats& delta, EvolutionStats* total);
-
-// Per-stage cost-model scores for crossover parents, stored on the parents'
-// ProgramArtifacts: a score memo is stamped with the cost-model version it
-// was computed under and lives as long as the artifact stays in the task's
-// ProgramCache, so parents reappearing in a later generation or tuning round
-// are not re-scored until the model retrains. `artifacts` holds the
-// population's resolved artifacts (borrowed; must outlive the cache). Misses
-// are queued by Request() and computed by Flush() in one batched model call;
-// after Flush(), Get() is lock-free and safe from worker threads.
-class CrossoverScoreCache {
- public:
-  using StageScores = std::unordered_map<std::string, double>;
-
-  CrossoverScoreCache(const std::vector<ProgramArtifactPtr>* artifacts, CostModel* model);
-
-  // Declares that member `i` is needed as a crossover parent: counts a cache
-  // hit when its scores are already memoized or queued, a miss otherwise.
-  void Request(size_t i);
-  // Scores all queued misses with one CostModel::PredictStatementsBatch call
-  // and installs the memos on the artifacts.
-  void Flush();
-  // Scores for member `i`; Request+Flush must have covered it. Read-only.
-  const StageScores& Get(size_t i) const;
-
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
-
- private:
-  const std::vector<ProgramArtifactPtr>* artifacts_;
-  CostModel* model_;
-  // Resolved memo per member (null until Request/Flush covered it).
-  std::vector<std::shared_ptr<const ScoredStages>> resolved_;
-  // 0 = absent, 1 = queued for the next Flush, 2 = resolved.
-  std::vector<uint8_t> status_;
-  std::vector<size_t> pending_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-};
 
 class EvolutionarySearch {
  public:
@@ -211,14 +170,15 @@ class EvolutionarySearch {
   State MutateVectorize(const State& state, Rng* rng);
   State MutateComputeLocation(const State& state, Rng* rng);
   State RandomMutation(const State& state, Rng* rng);
+  // Summed PredictStatements score per stage name of one program.
+  using StageScores = std::unordered_map<std::string, double>;
   // Crossover with both parents' per-stage scores supplied by the caller
-  // (from the per-generation cache on the hot path).
-  State Crossover(const State& a, const State& b,
-                  const CrossoverScoreCache::StageScores& score_a,
-                  const CrossoverScoreCache::StageScores& score_b, Rng* rng);
-  // Lowers + feature-extracts + scores one state from scratch (used by the
-  // public Crossover; the hot path reads the cache instead).
-  CrossoverScoreCache::StageScores ComputeStageScores(const State& state);
+  // (from the call's memo on the hot path).
+  State Crossover(const State& a, const State& b, const StageScores& score_a,
+                  const StageScores& score_b, Rng* rng);
+  // Resolves one state's artifact and scores it fresh (the public Crossover;
+  // the hot path reads the call's memo instead).
+  StageScores ComputeStageScores(const State& state);
   // Normalizes any failed state to the canonical State::Failure.
   State Normalized(State state) const;
 

@@ -5,7 +5,7 @@
 // extractor produces one per lowered program, the ProgramArtifact stores it,
 // and the cost model consumes it zero-copy: batch prediction walks raw row
 // pointers, training datasets append whole matrices with one block copy, and
-// the crossover stage-score memos read rows in place. Replaces the former
+// crossover parent scoring reads rows in place. Replaces the former
 // std::vector<std::vector<float>> representation whose per-row allocations
 // dominated the scoring profile once compilation itself was cached.
 #ifndef ANSOR_SRC_FEATURES_FEATURE_MATRIX_H_

@@ -121,19 +121,4 @@ std::vector<std::pair<uint64_t, bool>> ProgramArtifact::resource_verdict_summary
   return out;
 }
 
-std::shared_ptr<const ScoredStages> ProgramArtifact::stage_scores(
-    uint64_t model_id, uint64_t model_version) const {
-  std::lock_guard<std::mutex> lock(scores_mu_);
-  if (scores_ != nullptr && scores_->model_id == model_id &&
-      scores_->model_version == model_version) {
-    return scores_;
-  }
-  return nullptr;
-}
-
-void ProgramArtifact::set_stage_scores(std::shared_ptr<const ScoredStages> scores) const {
-  std::lock_guard<std::mutex> lock(scores_mu_);
-  scores_ = std::move(scores);
-}
-
 }  // namespace ansor

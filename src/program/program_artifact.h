@@ -5,9 +5,9 @@
 // chosen candidates, the tuner re-extracts their features for cost-model
 // training, and the core API re-lowers the winner to print it. A
 // ProgramArtifact bundles everything those consumers need — the lowered loop
-// tree, the per-statement feature matrix with per-row stage names, and a
-// memo of per-stage cost-model scores — so each distinct program is compiled
-// once per task and served from the ProgramCache thereafter.
+// tree and the per-statement feature matrix with per-row stage names — so
+// each distinct program is compiled once per task and served from the
+// ProgramCache thereafter.
 //
 // Artifacts also carry the static verifier's report (computed once at
 // construction) so legality of a distinct program is proven exactly once per
@@ -25,12 +25,13 @@
 //    search recompiles nothing it has already seen. Laziness is invisible:
 //    every accessor returns exactly what the cold construction would have.
 //
-// Artifacts are immutable after construction except for two memos: the
-// stage-score memo, stamped with the (model id, model version) it was
-// computed under, and the per-machine resource-check memo, keyed by
-// MachineModel fingerprint. Both are pure functions of (program, stamp), so
-// serving them from the cache is bit-identical to recomputing them, and a
-// cost-model retrain (version bump) invalidates the former automatically.
+// Artifacts are shared across threads, tasks and jobs, so their only state
+// after construction is what a pure function of the program fills in on
+// demand: the per-machine resource-check memo, keyed by MachineModel
+// fingerprint, and a warm artifact's materialization. Serving either from
+// the cache is bit-identical to recomputing it. Nothing model-dependent
+// lives here: crossover's per-stage parent scores are memoized inside one
+// EvolutionarySearch::Evolve call (src/evolution/evolution.h).
 #ifndef ANSOR_SRC_PROGRAM_PROGRAM_ARTIFACT_H_
 #define ANSOR_SRC_PROGRAM_PROGRAM_ARTIFACT_H_
 
@@ -38,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,14 +51,6 @@
 namespace ansor {
 
 class ComputeDAG;
-
-// Per-stage score sums for one program, stamped with the cost-model instance
-// and version that produced them. A stamp mismatch reads as absent.
-struct ScoredStages {
-  uint64_t model_id = 0;
-  uint64_t model_version = 0;
-  std::unordered_map<std::string, double> scores;
-};
 
 class ProgramArtifact {
  public:
@@ -109,12 +101,11 @@ class ProgramArtifact {
   // the snapshot).
   const VerifierReport& verifier_report() const;
 
-  // Machine-dependent resource verdict, memoized per MachineModel
-  // fingerprint under the same once-per-artifact discipline as the
-  // stage-score memo. Thread-safe; the returned snapshot is immutable. A
-  // fingerprint outside the memo materializes a warm artifact. A non-null
-  // `tracer` records the (uncached) consult as a "verify_resources" span;
-  // memo hits record nothing.
+  // Machine-dependent resource verdict, computed at most once per
+  // MachineModel fingerprint and artifact. Thread-safe; the returned
+  // snapshot is immutable. A fingerprint outside the memo materializes a
+  // warm artifact. A non-null `tracer` records the (uncached) consult as a
+  // "verify_resources" span; memo hits record nothing.
   std::shared_ptr<const CheckVerdict> resource_verdict(const MachineModel& machine,
                                                        const Tracer* tracer = nullptr) const;
 
@@ -133,15 +124,6 @@ class ProgramArtifact {
   // False only for a warm artifact that has not yet re-lowered (tests and
   // the zero-rebuild warm-start accounting).
   bool materialized() const { return materialized_.load(std::memory_order_acquire); }
-
-  // The stage-score memo if it matches the given model stamp, else nullptr.
-  // Thread-safe; the returned snapshot is immutable.
-  std::shared_ptr<const ScoredStages> stage_scores(uint64_t model_id,
-                                                   uint64_t model_version) const;
-  // Installs a new memo (replacing any stale one). Thread-safe. Const because
-  // cached artifacts are shared as pointers-to-const; the memo is a
-  // deterministic derivative, not a semantic mutation.
-  void set_stage_scores(std::shared_ptr<const ScoredStages> scores) const;
 
  private:
   // Replays steps_ on dag_ and derives lowered_ + verifier_report_ (warm
@@ -162,9 +144,6 @@ class ProgramArtifact {
   mutable std::mutex materialize_mu_;
   mutable LoweredProgram lowered_;
   mutable VerifierReport verifier_report_;
-
-  mutable std::mutex scores_mu_;
-  mutable std::shared_ptr<const ScoredStages> scores_;
 
   struct ResourceMemo {
     uint64_t machine_fingerprint = 0;

@@ -83,8 +83,8 @@ ProgramArtifactPtr ProgramCache::GetOrBuild(const State& state, uint64_t client_
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
-    // A racing thread inserted first; adopt its artifact so stage-score
-    // memos accumulate on one shared object.
+    // A racing thread inserted first; adopt its artifact so callers share
+    // one object per key (one resource-verdict memo, one crossover score).
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
     return it->second.artifact;
   }

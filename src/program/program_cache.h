@@ -83,8 +83,10 @@ class ProgramCache {
   // permitting, inserted) on a miss. Failed states are never cached — their
   // normalized empty step history would alias every other failed state — but
   // still yield a (not-ok) artifact. Safe to call from worker threads; a
-  // racing build of the same key keeps the first inserted artifact so
-  // stage-score memos stay shared.
+  // racing build of the same key adopts the first inserted artifact, so
+  // every caller holds one object per resident key: its resource verdicts
+  // are computed once, and Evolve's identity-keyed crossover score memo
+  // scores it once.
   //
   // `client_id` identifies the consumer for the cross-task accounting only
   // (artifacts are identical regardless): 0 is anonymous, a nonzero id is

@@ -52,8 +52,12 @@ namespace ansor {
 
 // One tuning job: a set of tasks + networks with their own objective,
 // budget, and deadline. The measurer and cost model are borrowed, not owned
-// — they must outlive the job, and sharing a model or measurer between jobs
-// is the caller's choice (per-job instances keep jobs fully independent).
+// — they must outlive the job. A Measurer holds only atomic counters, so
+// concurrent jobs may share one. A cost model may not be shared that way:
+// its Predict* calls may overlap each other but never its Update, which
+// retrains with no lock while another job's search would be predicting (see
+// src/costmodel/cost_model.h). Share a model only between jobs that never
+// run at the same time; per-job instances keep jobs fully independent.
 struct JobSpec {
   std::string name;
   std::vector<SearchTask> tasks;

@@ -2,6 +2,8 @@
 
 #include <functional>
 #include <memory>
+#include <set>
+#include <unordered_map>
 
 #include "src/evolution/evolution.h"
 #include "src/hwsim/measurer.h"
@@ -282,91 +284,94 @@ TEST(Evolution, EvolveDeterministicAcrossThreadCounts) {
   EXPECT_EQ(stats1.crossover_score_misses, stats4.crossover_score_misses);
 }
 
-TEST(Evolution, CrossoverScoreCacheScoresEachMemberOnce) {
-  ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
-  auto init = InitPopulation(&dag, 2, 27);
-
-  std::vector<ProgramArtifactPtr> artifacts;
-  for (const State& s : init) {
-    artifacts.push_back(std::make_shared<const ProgramArtifact>(s));
-    ASSERT_TRUE(artifacts.back()->ok());
-    ASSERT_FALSE(artifacts.back()->features().empty());
+// Forwards to a RandomCostModel and records every program that reaches
+// PredictStatementsBatch, with the per-stage sums of the scores returned.
+class CountingCostModel : public CostModel {
+ public:
+  explicit CountingCostModel(uint64_t seed) : inner_(seed) {}
+  void Update(uint64_t, const std::vector<FeatureMatrix>&,
+              const std::vector<double>&) override {}
+  std::vector<double> PredictBatch(const std::vector<const FeatureMatrix*>& programs) override {
+    return inner_.PredictBatch(programs);
   }
-
-  // Two identically seeded models: the cache must produce exactly the scores
-  // direct per-program scoring would.
-  RandomCostModel cache_model(5);
-  RandomCostModel direct_model(5);
-  CrossoverScoreCache cache(&artifacts, &cache_model);
-
-  cache.Request(0);
-  cache.Request(0);  // second request of a queued member is a hit
-  cache.Request(1);
-  EXPECT_EQ(cache.misses(), 2);
-  EXPECT_EQ(cache.hits(), 1);
-  cache.Flush();
-
-  for (size_t i = 0; i < init.size(); ++i) {
-    std::unordered_map<std::string, double> expect;
-    auto preds = direct_model.PredictStatements(artifacts[i]->features());
-    for (size_t r = 0; r < preds.size(); ++r) {
-      expect[artifacts[i]->row_stages()[r]] += preds[r];
+  std::vector<double> PredictStatements(const FeatureMatrix& rows) override {
+    return inner_.PredictStatements(rows);
+  }
+  std::vector<std::vector<double>> PredictStatementsBatch(
+      const std::vector<const FeatureMatrix*>& programs) override {
+    std::vector<std::vector<double>> preds = inner_.PredictStatementsBatch(programs);
+    for (size_t p = 0; p < programs.size(); ++p) {
+      scored.push_back(programs[p]);
+      stage_sums.push_back(StageSums(*programs[p], preds[p]));
     }
-    EXPECT_EQ(cache.Get(i), expect);
+    return preds;
   }
 
-  cache.Request(1);  // already computed: a hit, no new model call
-  cache.Flush();
-  EXPECT_EQ(cache.misses(), 2);
-  EXPECT_EQ(cache.hits(), 2);
-
-  // The memos live on the artifacts: a fresh cache over the same artifacts
-  // (a later generation or round) starts with hits, not misses.
-  CrossoverScoreCache second(&artifacts, &cache_model);
-  second.Request(0);
-  second.Request(1);
-  EXPECT_EQ(second.hits(), 2);
-  EXPECT_EQ(second.misses(), 0);
-  EXPECT_EQ(second.Get(0), cache.Get(0));
-}
-
-TEST(Evolution, CrossoverScoreMemoInvalidatedByModelUpdate) {
-  ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
-  auto init = InitPopulation(&dag, 2, 28);
-  std::vector<ProgramArtifactPtr> artifacts;
-  for (const State& s : init) {
-    artifacts.push_back(std::make_shared<const ProgramArtifact>(s));
+  static std::unordered_map<std::string, double> StageSums(const FeatureMatrix& rows,
+                                                           const std::vector<double>& preds) {
+    std::unordered_map<std::string, double> sums;
+    for (size_t r = 0; r < preds.size(); ++r) {
+      sums[rows.row_stages()[r]] += preds[r];
+    }
+    return sums;
   }
 
-  GbdtCostModel model;
-  {
-    CrossoverScoreCache cache(&artifacts, &model);
-    cache.Request(0);
-    cache.Flush();
-    EXPECT_EQ(cache.misses(), 1);
-  }
-  {
-    // Same model version: the memo survives.
-    CrossoverScoreCache cache(&artifacts, &model);
-    cache.Request(0);
-    EXPECT_EQ(cache.hits(), 1);
-  }
-  // Retraining bumps the model version, so stale memos read as absent.
-  Measurer measurer(MachineModel::IntelCpu20Core());
-  model.Update(dag.CanonicalHash(), {artifacts[0]->features()},
-               {measurer.Measure(init[0]).throughput});
-  {
-    CrossoverScoreCache cache(&artifacts, &model);
-    cache.Request(0);
-    EXPECT_EQ(cache.misses(), 1);
-    cache.Flush();  // recomputes under the new version
-  }
-  // A different model instance never matches another model's memo, even at
-  // an equal version number.
-  GbdtCostModel other;
-  CrossoverScoreCache cache(&artifacts, &other);
-  cache.Request(1);
-  EXPECT_EQ(cache.misses(), 1);
+  std::vector<const FeatureMatrix*> scored;
+  std::vector<std::unordered_map<std::string, double>> stage_sums;
+
+ private:
+  RandomCostModel inner_;
+};
+
+TEST(Evolution, EvolveScoresEachCrossoverParentOncePerCall) {
+  // Crossover-only evolution over several generations: parents recur across
+  // waves and generations, and the call's memo must score each artifact with
+  // one PredictStatementsBatch entry, holding the scores a direct
+  // PredictStatements call gives.
+  ComputeDAG dag = testing::Matmul(32, 32, 32);
+  auto init = InitPopulation(&dag, 8, 29);
+  EvolutionOptions options;
+  options.population = 24;
+  options.generations = 3;
+  options.crossover_probability = 1.0;
+
+  auto run = [&](size_t cache_capacity, CountingCostModel* model) {
+    ProgramCache cache(cache_capacity);
+    options.program_cache = &cache;
+    EvolutionarySearch es(&dag, model, Rng(30), options);
+    std::vector<std::string> sigs;
+    for (const State& s : es.Evolve(init, 4)) {
+      sigs.push_back(StepSignature(s));
+    }
+    // The memo holds every artifact it keys until the call returns, so no
+    // address is reused within the call: a repeated address would be an
+    // artifact scored twice.
+    std::set<const FeatureMatrix*> distinct(model->scored.begin(), model->scored.end());
+    EXPECT_EQ(distinct.size(), model->scored.size());
+    EXPECT_EQ(es.stats().crossover_score_misses, static_cast<int64_t>(model->scored.size()));
+    if (cache_capacity > 0) {
+      RandomCostModel direct(3);
+      for (size_t p = 0; p < model->scored.size(); ++p) {
+        const FeatureMatrix& rows = *model->scored[p];
+        EXPECT_EQ(model->stage_sums[p],
+                  CountingCostModel::StageSums(rows, direct.PredictStatements(rows)));
+      }
+    }
+    return std::make_pair(sigs, es.stats());
+  };
+
+  CountingCostModel cached_model(3);
+  auto [sigs, stats] = run(ProgramCache::kDefaultCapacity, &cached_model);
+  EXPECT_GT(stats.crossover_score_hits, 0);
+  EXPECT_FALSE(cached_model.scored.empty());
+
+  // Capacity 0: every population lookup builds a fresh artifact, so a parent
+  // that recurs in a later generation is a new memo key and is scored again.
+  // Results cannot tell the difference.
+  CountingCostModel uncached_model(3);
+  auto [uncached_sigs, uncached_stats] = run(0, &uncached_model);
+  EXPECT_EQ(uncached_sigs, sigs);
+  EXPECT_GT(uncached_stats.crossover_score_misses, stats.crossover_score_misses);
 }
 
 TEST(Evolution, EvolveReportsCacheStats) {
@@ -376,7 +381,9 @@ TEST(Evolution, EvolveReportsCacheStats) {
   EvolutionOptions options;
   options.population = 24;
   options.generations = 2;
-  options.crossover_probability = 1.0;  // crossover-only: exercise the cache
+  options.crossover_probability = 1.0;  // crossover-only: exercise the memo
+  ProgramCache cache;
+  options.program_cache = &cache;
   EvolutionarySearch es(&dag, &model, Rng(30), options);
   es.Evolve(init, 4);
   const EvolutionStats& stats = es.stats();
@@ -386,9 +393,9 @@ TEST(Evolution, EvolveReportsCacheStats) {
   EXPECT_EQ((stats.crossover_score_hits + stats.crossover_score_misses) % 2, 0);
   EXPECT_LE(stats.crossover_score_misses,
             static_cast<int64_t>(options.population + 8) * options.generations);
-  // Population scoring went through the (per-call) ProgramCache: at minimum
+  // Population scoring went through the injected ProgramCache: at minimum
   // every generation's population resolution is counted.
-  EXPECT_GT(stats.program_cache_hits + stats.program_cache_misses, 0);
+  EXPECT_GT(cache.stats().lookups(), 0);
 }
 
 TEST(Evolution, EvolveReturnsDistinctStates) {
@@ -441,14 +448,15 @@ struct EvolveGolden {
   int64_t statically_rejected;
   int64_t crossover_score_hits;
   int64_t crossover_score_misses;
-  int64_t program_cache_lookups;  // program_cache_hits + program_cache_misses
+  int64_t program_cache_lookups;  // ProgramCacheStats::lookups()
   int64_t program_cache_evictions;
 };
 
-// Runs Evolve on a 1-thread and a 4-thread pool and checks both against the
-// golden values. The hit/miss split of the ProgramCache is pinned only as a
-// sum: pool workers racing on one key each count a miss, so the split
-// depends on timing while the number of lookups does not.
+// Runs Evolve on a 1-thread and a 4-thread pool, each with a fresh default
+// ProgramCache, and checks both against the golden values. The hit/miss
+// split of the cache is pinned only as a sum: pool workers racing on one key
+// each count a miss, so the split depends on timing while the number of
+// lookups does not.
 void ExpectEvolveGolden(const ComputeDAG* dag,
                         const std::function<std::unique_ptr<CostModel>()>& make_model,
                         const std::vector<State>& init, EvolutionOptions options,
@@ -456,8 +464,10 @@ void ExpectEvolveGolden(const ComputeDAG* dag,
   for (size_t threads : {1, 4}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ThreadPool pool(threads);
+    ProgramCache cache;
     std::unique_ptr<CostModel> model = make_model();
     options.thread_pool = &pool;
+    options.program_cache = &cache;
     EvolutionarySearch es(dag, model.get(), Rng(seed), options);
     std::vector<State> best = es.Evolve(init, num_out);
     const EvolutionStats& st = es.stats();
@@ -468,8 +478,8 @@ void ExpectEvolveGolden(const ComputeDAG* dag,
     EXPECT_EQ(st.statically_rejected, golden.statically_rejected);
     EXPECT_EQ(st.crossover_score_hits, golden.crossover_score_hits);
     EXPECT_EQ(st.crossover_score_misses, golden.crossover_score_misses);
-    EXPECT_EQ(st.program_cache_hits + st.program_cache_misses, golden.program_cache_lookups);
-    EXPECT_EQ(st.program_cache_evictions, golden.program_cache_evictions);
+    EXPECT_EQ(cache.stats().lookups(), golden.program_cache_lookups);
+    EXPECT_EQ(cache.stats().evictions, golden.program_cache_evictions);
   }
 }
 
