@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "src/analysis/program_verifier.h"
 #include "src/exec/interpreter.h"
+#include "src/features/feature_extraction.h"
 #include "src/lower/loop_tree.h"
+#include "src/sampler/annotation.h"
+#include "src/sketch/sketch.h"
+#include "src/store/bytes.h"
+#include "src/workloads/operators.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -151,6 +159,80 @@ TEST(Lower, AnnotationsSurviveLowering) {
   std::string printed = prog.ToString();
   EXPECT_NE(printed.find("parallel"), std::string::npos);
   EXPECT_NE(printed.find("vectorize"), std::string::npos);
+}
+
+// --- Golden lowering ------------------------------------------------------------
+
+// FNV-1a over what a program build derives from a schedule: the printed
+// lowered program (loop structure, index expressions, guards), the feature
+// matrix bytes and row stages, and the structural verifier's verdict, for
+// fixed-seed sampled programs of four DAGs, each on CPU and on GPU. Between them
+// the programs use every step kind that shapes lowering (split, follow_split,
+// fuse, reorder, compute_at, compute_inline, cache_write, rfactor) and GPU
+// thread binding; the test checks that coverage before it checks the hash.
+// The constant pins the lowering semantics and must never be re-pinned: a
+// mismatch means the schedule IR or lowering changed what it builds.
+TEST(LowerGolden, HashOverSampledProgramsOnCpuAndGpu) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const void* data, size_t n) {
+    h ^= Fnv1a64(static_cast<const char*>(data), n);
+    h *= 0x100000001b3ULL;
+  };
+  std::vector<ComputeDAG> dags = {testing::MatmulRelu(64, 64, 64),
+                                  MakeConv2d(1, 16, 14, 14, 32, 3, 3, 1, 1),
+                                  testing::ReluPadMatmul(16, 8, 64, 48),
+                                  MakeNorm(4, 1024)};
+  std::set<StepKind> kinds;
+  std::set<IterAnnotation> annotations;
+  int sampled = 0;
+  int legal = 0;
+  for (bool gpu : {false, true}) {
+    SamplerOptions options;
+    options.gpu = gpu;
+    for (size_t d = 0; d < dags.size(); ++d) {
+      std::vector<State> sketches = GenerateSketches(&dags[d]);
+      ASSERT_FALSE(sketches.empty());
+      Rng rng(2000 + d + (gpu ? 100 : 0));
+      int kept = 0;
+      for (int attempt = 0; attempt < 400 && kept < 12; ++attempt) {
+        State program = SampleCompleteProgram(sketches[rng.Index(sketches.size())], &dags[d],
+                                              &rng, options);
+        if (program.failed()) {
+          continue;
+        }
+        for (const Step& step : program.steps()) {
+          kinds.insert(step.kind);
+          annotations.insert(step.annotation);
+        }
+        LoweredProgram lowered = Lower(program);
+        const std::string text = lowered.ToString();
+        mix(text.data(), text.size());
+        if (lowered.ok) {
+          FeatureMatrix features = ExtractFeatures(lowered);
+          mix(features.data().data(), features.data().size() * sizeof(float));
+          for (const std::string& stage : features.row_stages()) {
+            mix(stage.data(), stage.size());
+          }
+        }
+        const char verdict = VerifyProgram(program, lowered).legal() ? 'L' : 'I';
+        mix(&verdict, 1);
+        legal += verdict == 'L' ? 1 : 0;
+        ++kept;
+      }
+      sampled += kept;
+    }
+  }
+  for (StepKind kind : {StepKind::kSplit, StepKind::kFollowSplit, StepKind::kFuse,
+                        StepKind::kReorder, StepKind::kComputeAt, StepKind::kComputeInline,
+                        StepKind::kCacheWrite, StepKind::kRfactor}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << "no sampled program has step kind "
+                                     << static_cast<int>(kind);
+  }
+  EXPECT_EQ(annotations.count(IterAnnotation::kBlockX), 1u);
+  EXPECT_EQ(annotations.count(IterAnnotation::kThreadX), 1u);
+  EXPECT_EQ(sampled, 96);
+  EXPECT_GT(legal, 0);
+  EXPECT_EQ(h, 0x143cf897075851eeULL) << std::hex << "0x" << h << std::dec << " legal=" << legal;
 }
 
 }  // namespace
