@@ -7,6 +7,7 @@
 
 #include "src/analysis/access_pattern.h"
 #include "src/expr/affine.h"
+#include "src/ir/stage_exprs.h"
 #include "src/support/util.h"
 
 namespace ansor {
@@ -134,33 +135,38 @@ void CheckBufferBounds(const LoweredProgram& program, CheckVerdict* verdict) {
   }
 }
 
-void CheckIteratorDomains(const State& state, CheckVerdict* verdict) {
+void CheckIteratorDomains(const State& state, const std::vector<StageExprs>& exprs,
+                          CheckVerdict* verdict) {
+  CHECK_EQ(exprs.size(), state.stages().size()) << "exprs must be DeriveScheduleExprs(state)";
   verdict->verdict = VerifierVerdict::kPass;
   auto fail = [&](const Stage& stage, const std::string& message) {
     verdict->verdict = VerifierVerdict::kFail;
     verdict->diagnostics.push_back("stage " + stage.name() + ": " + message);
   };
 
-  for (const Stage& stage : state.stages()) {
+  for (size_t s = 0; s < state.stages().size(); ++s) {
+    const Stage& stage = state.stages()[s];
     if (stage.loc.kind == ComputeLocKind::kInlined) {
       continue;  // not lowered; its reconstructions are dead
     }
+    const StageExprs& se = exprs[s];
     std::unordered_map<int64_t, int64_t> iter_extent;
-    for (const Iterator& iter : stage.iters) {
+    for (size_t i = 0; i < stage.iters.size(); ++i) {
+      const Iterator& iter = stage.iters[i];
       if (iter.extent <= 0) {
         fail(stage, "iterator " + iter.name + " has non-positive extent " +
                         std::to_string(iter.extent));
       }
-      iter_extent[iter.var->var_id] = iter.extent;
+      iter_extent[se.iter_vars[i]->var_id] = iter.extent;
     }
     std::unordered_set<int64_t> referenced;
     for (const auto& [axis_id, extent] : stage.axis_extent) {
-      auto it = stage.axis_value.find(axis_id);
-      if (it == stage.axis_value.end() || !it->second.defined()) {
+      const Expr* value = se.AxisValue(axis_id);
+      if (value == nullptr) {
         fail(stage, "axis " + std::to_string(axis_id) + " has no reconstruction expression");
         continue;
       }
-      const Expr& reconstruction = it->second;
+      const Expr& reconstruction = *value;
       std::vector<const ExprNode*> vars;
       CollectVars(reconstruction, &vars);
       bool dangling = false;
@@ -192,8 +198,9 @@ void CheckIteratorDomains(const State& state, CheckVerdict* verdict) {
                         " without a guard");
       }
     }
-    for (const Iterator& iter : stage.iters) {
-      if (referenced.count(iter.var->var_id) == 0) {
+    for (size_t i = 0; i < stage.iters.size(); ++i) {
+      const Iterator& iter = stage.iters[i];
+      if (referenced.count(se.iter_vars[i]->var_id) == 0) {
         fail(stage, "iterator " + iter.name +
                         " does not contribute to any axis reconstruction (dangling iterator)");
       }
@@ -317,6 +324,11 @@ std::string VerifierReport::ToString() const {
 
 VerifierReport VerifyProgram(const State& state, const LoweredProgram& program,
                              const Tracer* tracer) {
+  return VerifyProgram(state, DeriveScheduleExprs(state), program, tracer);
+}
+
+VerifierReport VerifyProgram(const State& state, const std::vector<StageExprs>& exprs,
+                             const LoweredProgram& program, const Tracer* tracer) {
   TraceSpan span(tracer, "verify_structural", "analysis");
   VerifierReport report;
   CheckVerdict& lowering = report.check(VerifierCheck::kLowering);
@@ -328,7 +340,7 @@ VerifierReport VerifyProgram(const State& state, const LoweredProgram& program,
   }
   lowering.verdict = VerifierVerdict::kPass;
   CheckBufferBounds(program, &report.check(VerifierCheck::kBufferBounds));
-  CheckIteratorDomains(state, &report.check(VerifierCheck::kIteratorDomain));
+  CheckIteratorDomains(state, exprs, &report.check(VerifierCheck::kIteratorDomain));
   CheckDefBeforeUse(program, &report.check(VerifierCheck::kDefBeforeUse));
   if (span.enabled()) {
     span.Arg("outcome", report.legal() ? "legal" : "illegal");

@@ -14,10 +14,11 @@
 //                        extents, clamped by dominating guard conditions.
 //   3. kIteratorDomain — split/fuse/reorder left every original axis fully
 //                        covered: the reconstruction expression of each axis
-//                        spans exactly [0, extent) (or at least that, for
-//                        guarded axes), and no reconstruction references a
-//                        variable that is not an iterator of the stage (no
-//                        dangling iterators).
+//                        (derived from the stage's relation record by
+//                        DeriveStageExprs) spans exactly [0, extent) (or at
+//                        least that, for guarded axes), and no reconstruction
+//                        references a variable that is not an iterator of the
+//                        stage (no dangling iterators).
 //   4. kDefBeforeUse   — in execution (DFS) order, the first read of every
 //                        program-produced buffer comes after its first store;
 //                        accumulating stores count as reads of their own
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "src/hwsim/machine_model.h"
+#include "src/ir/stage_exprs.h"
 #include "src/lower/loop_tree.h"
 #include "src/telemetry/trace.h"
 
@@ -104,9 +106,13 @@ struct VerifierReport {
 // kIteratorDomain, kDefBeforeUse). Pure function of its arguments; `program`
 // must be the lowering of `state`. kResourceLimits is left kSkipped — see
 // VerifyResources. A non-null `tracer` records the consult as a
-// "verify_structural" span (the verdict is unaffected).
+// "verify_structural" span (the verdict is unaffected). kIteratorDomain
+// checks the axis reconstructions of DeriveScheduleExprs(state); the second
+// form takes the derivation the caller already made for Lower.
 VerifierReport VerifyProgram(const State& state, const LoweredProgram& program,
                              const Tracer* tracer = nullptr);
+VerifierReport VerifyProgram(const State& state, const std::vector<StageExprs>& exprs,
+                             const LoweredProgram& program, const Tracer* tracer = nullptr);
 
 // Runs the machine-dependent resource checks against one machine model. Pure
 // function of its arguments; returns kSkipped when the program's lowering

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/ir/stage_exprs.h"
+
 namespace ansor {
 namespace {
 
@@ -43,7 +45,7 @@ State::State(const ComputeDAG* dag) : dag_(dag) {
 
 void State::ResetStageIters(Stage* stage) {
   stage->iters.clear();
-  stage->axis_value.clear();
+  stage->relations.clear();
   stage->axis_extent.clear();
   stage->guarded_axes.clear();
   const OperationRef& op = stage->op;
@@ -52,10 +54,14 @@ void State::ResetStageIters(Stage* stage) {
     it.name = axis->var_name;
     it.extent = axis->var_extent;
     it.kind = kind;
-    it.var = MakeVar(axis->var_name, axis->var_extent);
+    it.id = next_iter_id_++;
     it.orig_axis_id = axis->var_id;
     it.stride = 1;
-    stage->axis_value[axis->var_id] = it.var;
+    IterRelation root;
+    root.kind = IterRelationKind::kAxis;
+    root.over = it.id;
+    root.axis_id = axis->var_id;
+    stage->relations.push_back(root);
     stage->axis_extent[axis->var_id] = axis->var_extent;
     stage->iters.push_back(std::move(it));
   };
@@ -295,44 +301,33 @@ bool State::ApplySplit(const Step& step, const std::vector<int64_t>& lengths) {
   }
 
   // New iterators: [outer, lengths...]. The old value decomposes as
-  //   v = v0 * m0 + v1 * m1 + ... + vk (m_j = product of extents after j).
+  //   v = v0 * m0 + v1 * m1 + ... + vk (m_j = product of extents after j),
+  // recorded as one kSplit relation per part.
   size_t n_parts = lengths.size() + 1;
-  std::vector<Iterator> new_iters(n_parts);
-  std::vector<int64_t> extents(n_parts);
-  extents[0] = outer_extent;
-  for (size_t j = 0; j < lengths.size(); ++j) {
-    extents[j + 1] = lengths[j];
-  }
-  std::vector<int64_t> multipliers(n_parts, 1);
-  for (size_t j = n_parts - 1; j > 0; --j) {
-    multipliers[j - 1] = multipliers[j] * extents[j];
-  }
-  Expr replacement;
-  for (size_t j = 0; j < n_parts; ++j) {
-    Iterator it;
-    it.name = old_iter.name + "." + std::to_string(j);
-    it.extent = extents[j];
+  size_t first = static_cast<size_t>(step.iter);
+  stage.iters.insert(stage.iters.begin() + step.iter + 1, n_parts - 1, Iterator());
+  size_t rel = stage.relations.size();
+  stage.relations.resize(rel + n_parts);
+  int64_t multiplier = 1;
+  for (size_t j = n_parts; j-- > 0;) {
+    Iterator& it = stage.iters[first + j];
+    it.name = old_iter.name;
+    it.name += '.';
+    it.name += std::to_string(j);
+    it.extent = j == 0 ? outer_extent : lengths[j - 1];
     it.kind = old_iter.kind;
     it.annotation = IterAnnotation::kNone;
-    it.var = MakeVar(it.name, it.extent);
+    it.id = next_iter_id_ + static_cast<int>(j);
     it.orig_axis_id = old_iter.orig_axis_id;
-    it.stride = old_iter.stride * multipliers[j];
-    Expr term = multipliers[j] == 1 ? it.var : it.var * IntImm(multipliers[j]);
-    replacement = replacement.defined() ? replacement + term : term;
-    new_iters[j] = std::move(it);
+    it.stride = old_iter.stride * multiplier;
+    IterRelation& part = stage.relations[rel + j];
+    part.kind = IterRelationKind::kSplit;
+    part.iter = old_iter.id;
+    part.over = it.id;
+    part.factor = multiplier;
+    multiplier *= it.extent;
   }
-
-  // Substitute the old variable in every axis reconstruction expression.
-  int64_t old_id = old_iter.var->var_id;
-  auto lookup = [&](const ExprNode& var) {
-    return var.var_id == old_id ? replacement : Expr();
-  };
-  for (auto& [axis, value] : stage.axis_value) {
-    value = Substitute(value, lookup);
-  }
-
-  stage.iters.erase(stage.iters.begin() + step.iter);
-  stage.iters.insert(stage.iters.begin() + step.iter, new_iters.begin(), new_iters.end());
+  next_iter_id_ += static_cast<int>(n_parts);
   // Remap compute_at children anchored below the split point: a child at the
   // split iterator moves to its innermost part.
   int added = static_cast<int>(n_parts) - 1;
@@ -375,7 +370,7 @@ bool State::ApplyFuse(const Step& step) {
   }
   fused.extent = fused_extent;
   fused.kind = stage.iters[static_cast<size_t>(first)].kind;
-  fused.var = MakeVar(fused.name, fused_extent);
+  fused.id = next_iter_id_++;
 
   // Provenance: the fuse preserves a single-axis identity only when all
   // components come from the same axis with contiguous strides.
@@ -406,30 +401,20 @@ bool State::ApplyFuse(const Step& step) {
     fused.stride = 1;
   }
 
-  // Old component j reconstructs as (fused / prod(extents after j)) % extent_j.
-  std::vector<int64_t> tail(static_cast<size_t>(count), 1);
-  for (int j = count - 2; j >= 0; --j) {
-    tail[static_cast<size_t>(j)] =
-        tail[static_cast<size_t>(j + 1)] * stage.iters[static_cast<size_t>(first + j + 1)].extent;
-  }
-  std::unordered_map<int64_t, Expr> replacements;
-  for (int j = 0; j < count; ++j) {
+  // Old component j reconstructs as (fused / prod(extents after j)) % extent_j,
+  // recorded as one kFuse relation per component.
+  size_t rel = stage.relations.size();
+  stage.relations.resize(rel + static_cast<size_t>(count));
+  int64_t tail = 1;
+  for (int j = count - 1; j >= 0; --j) {
     const Iterator& it = stage.iters[static_cast<size_t>(first + j)];
-    Expr value = fused.var;
-    if (tail[static_cast<size_t>(j)] != 1) {
-      value = value / IntImm(tail[static_cast<size_t>(j)]);
-    }
-    if (j > 0) {
-      value = value % IntImm(it.extent);
-    }
-    replacements[it.var->var_id] = value;
-  }
-  auto lookup = [&](const ExprNode& var) {
-    auto it = replacements.find(var.var_id);
-    return it == replacements.end() ? Expr() : it->second;
-  };
-  for (auto& [axis, value] : stage.axis_value) {
-    value = Substitute(value, lookup);
+    IterRelation& component = stage.relations[rel + static_cast<size_t>(j)];
+    component.kind = IterRelationKind::kFuse;
+    component.iter = it.id;
+    component.over = fused.id;
+    component.factor = tail;
+    component.modulus = j > 0 ? it.extent : 0;
+    tail *= it.extent;
   }
 
   stage.iters.erase(stage.iters.begin() + first, stage.iters.begin() + first + count);
@@ -649,9 +634,14 @@ bool State::ApplyRfactor(const Step& step) {
   Expr ko = ReduceAxis(other.extent, "ko");
   // The original reduction var reconstructs from (kept, other) via the
   // stage's axis reconstruction; substitute kept -> kr, other -> ko.
-  Expr k_value = stage.axis_value.at(reduce_axis_id);
-  bindings[kept.var->var_id] = kr;
-  bindings[other.var->var_id] = ko;
+  const StageExprs exprs = DeriveStageExprs(stage);
+  const Expr* k_value_ptr = exprs.AxisValue(reduce_axis_id);
+  if (k_value_ptr == nullptr) {
+    return Fail("rfactor reduction axis has no reconstruction in " + step.stage);
+  }
+  const Expr k_value = *k_value_ptr;
+  bindings[exprs.iter_vars[static_cast<size_t>(step.iter)]->var_id] = kr;
+  bindings[exprs.iter_vars[static_cast<size_t>(other_idx)]->var_id] = ko;
   Expr rf_source = Substitute(reduce_source, [&](const ExprNode& var) -> Expr {
     if (var.var_id == reduce_axis_id) {
       return Substitute(k_value, [&](const ExprNode& inner) {
@@ -711,6 +701,7 @@ State State::Failure(const ComputeDAG* dag, std::string error) {
 
 State State::Replay(const ComputeDAG* dag, const std::vector<Step>& steps) {
   State state(dag);
+  state.steps_.reserve(steps.size());
   for (const Step& step : steps) {
     if (!state.ApplyStep(step)) {
       return state;  // failed() is set

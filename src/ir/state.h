@@ -5,6 +5,13 @@
 // rewrite the DAG (cache-write and rfactor insert new stages; inlining
 // rewrites consumer bodies) — paper §2: "some optimization needs to add new
 // nodes to the computational graph".
+//
+// The loop structure itself is plain data. Split and fuse append integer
+// relations over iterator ids to the stage's record and build no expression;
+// the loop variables and axis reconstructions that lowering needs are derived
+// from that record by DeriveStageExprs (src/ir/stage_exprs.h) once per
+// program build. The search replays step lists for every mutation, crossover
+// and random sample, and most replayed programs are never lowered.
 #ifndef ANSOR_SRC_IR_STATE_H_
 #define ANSOR_SRC_IR_STATE_H_
 
@@ -30,9 +37,11 @@ struct Stage {
   OperationRef op;
   std::vector<Iterator> iters;
   StageLoc loc;
-  // Original axis var id -> expression of current iterator vars reconstructing
-  // the axis value.
-  std::unordered_map<int64_t, Expr> axis_value;
+  // The stage's split/fuse history over iterator ids, in application order
+  // (see IterRelation): one kAxis entry per original axis, then the entries
+  // of each split and fuse. Cleared with the iterators when the stage's op is
+  // rewritten.
+  std::vector<IterRelation> relations;
   // Original axis var id -> axis extent.
   std::unordered_map<int64_t, int64_t> axis_extent;
   // Axes whose reconstruction can overflow the extent (non-exact splits);
@@ -122,7 +131,8 @@ class State {
   bool ApplyCacheWrite(const Step& step);
   bool ApplyRfactor(const Step& step);
 
-  // Re-initializes a stage's iterators from its (possibly rewritten) op.
+  // Re-initializes a stage's iterators (with fresh ids) and its relation
+  // record from its (possibly rewritten) op.
   void ResetStageIters(Stage* stage);
   // Replaces every load of `buffer_name` in consumer bodies via `rewrite`.
   void RewriteConsumerBodies(const std::string& buffer_name,
@@ -136,6 +146,8 @@ class State {
   bool failed_ = false;
   std::string error_;
   int last_new_stage_ = -1;
+  // Next Iterator::id to hand out.
+  int next_iter_id_ = 0;
 };
 
 // Canonical signature of a state's step history: the concatenated step

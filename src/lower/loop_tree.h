@@ -64,10 +64,16 @@ struct LoweredProgram {
   std::string ToString() const;
 };
 
+struct StageExprs;
+
 // Lowers a schedule state. On failure (e.g. an unsupported compute_at
 // placement produced by a mutation) returns ok=false with an error message;
-// the search treats such programs as failed measurements.
+// the search treats such programs as failed measurements. Loop variables and
+// index expressions come from DeriveScheduleExprs(state) (src/ir/
+// stage_exprs.h); the second form takes a derivation the caller already made
+// (a program build shares one with VerifyProgram).
 LoweredProgram Lower(const State& state);
+LoweredProgram Lower(const State& state, const std::vector<StageExprs>& exprs);
 
 }  // namespace ansor
 

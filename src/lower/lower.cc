@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "src/expr/term.h"
+#include "src/ir/stage_exprs.h"
 #include "src/lower/loop_tree.h"
 #include "src/support/util.h"
 
@@ -11,7 +12,8 @@ namespace {
 
 class Lowerer {
  public:
-  explicit Lowerer(const State& state) : state_(state) {}
+  Lowerer(const State& state, const std::vector<StageExprs>& exprs)
+      : state_(state), exprs_(exprs) {}
 
   LoweredProgram Run() {
     CollectBuffers();
@@ -71,12 +73,15 @@ class Lowerer {
     std::vector<bool> keep_iter;    // per iterator of the stage
   };
 
-  bool ComputeAtContext(const Stage& s, AtContext* ctx) {
+  bool ComputeAtContext(int stage_idx, AtContext* ctx) {
+    const Stage& s = state_.stage(stage_idx);
+    const StageExprs& se = exprs_[static_cast<size_t>(stage_idx)];
     int target_idx = state_.StageIndex(s.loc.at_stage);
     if (target_idx < 0) {
       return Fail("compute_at target missing: " + s.loc.at_stage);
     }
     const Stage& c = state_.stage(target_idx);
+    const StageExprs& ce = exprs_[static_cast<size_t>(target_idx)];
     if (c.loc.kind != ComputeLocKind::kRoot) {
       return Fail("compute_at target must be a root stage: " + c.name());
     }
@@ -114,20 +119,20 @@ class Lowerer {
     std::unordered_map<int64_t, int> var_pos;
     std::unordered_map<int64_t, int64_t> var_extent;
     for (size_t p = 0; p < c.iters.size(); ++p) {
-      var_pos[c.iters[p].var->var_id] = static_cast<int>(p);
-      var_extent[c.iters[p].var->var_id] = c.iters[p].extent;
+      var_pos[ce.iter_vars[p]->var_id] = static_cast<int>(p);
+      var_extent[ce.iter_vars[p]->var_id] = c.iters[p].extent;
     }
     ctx->final_axis.resize(ndim);
     ctx->guard_dim.assign(ndim, false);
     std::vector<int64_t> coverage(ndim, 1);
     for (size_t d = 0; d < ndim; ++d) {
       int64_t axis_id = c.op->axis[d]->var_id;
-      auto it = c.axis_value.find(axis_id);
-      if (it == c.axis_value.end()) {
+      const Expr* value = ce.AxisValue(axis_id);
+      if (value == nullptr) {
         return Fail("missing axis reconstruction in " + c.name());
       }
       std::vector<Expr> terms;
-      FlattenAddTerms(it->second, &terms);
+      FlattenAddTerms(*value, &terms);
       Expr prefix;
       int64_t inner_max = 0;
       std::vector<std::pair<int64_t, int64_t>> inner_parts;  // (multiplier, extent)
@@ -203,7 +208,7 @@ class Lowerer {
       size_t d = axis_dim[it.orig_axis_id];
       if (it.stride >= coverage[d]) {
         ctx->keep_iter[p] = false;
-        pinned_zero.push_back(it.var);
+        pinned_zero.push_back(se.iter_vars[p]);
       } else {
         kept_max[d] += (it.extent - 1) * it.stride;
       }
@@ -222,7 +227,11 @@ class Lowerer {
     }
     for (size_t d = 0; d < ndim; ++d) {
       int64_t axis_id = s.op->axis[d]->var_id;
-      Expr local = Substitute(s.axis_value.at(axis_id), [&](const ExprNode& var) {
+      const Expr* value = se.AxisValue(axis_id);
+      if (value == nullptr) {
+        return Fail("missing axis reconstruction in " + s.name());
+      }
+      Expr local = Substitute(*value, [&](const ExprNode& var) {
         return pinned_ids.count(var.var_id) > 0 ? Expr(IntImm(0)) : Expr();
       });
       ctx->final_axis[d] = ctx->final_axis[d] + local;
@@ -239,7 +248,7 @@ class Lowerer {
     Expr init_guard;
   };
 
-  bool BuildStores(const Stage& s, const std::vector<Expr>& final_axis,
+  bool BuildStores(const Stage& s, const StageExprs& se, const std::vector<Expr>& final_axis,
                    const std::vector<bool>& guard_dim, StoreInfo* out) {
     size_t ndim = s.op->axis.size();
     std::vector<Expr> indices(final_axis.begin(), final_axis.begin() + ndim);
@@ -264,13 +273,13 @@ class Lowerer {
     if (is_reduce) {
       const ExprNode& red = *s.op->body.get();
       for (const Expr& axis : red.reduce_axes) {
-        auto it = s.axis_value.find(axis->var_id);
-        if (it == s.axis_value.end()) {
+        const Expr* reconstruction = se.AxisValue(axis->var_id);
+        if (reconstruction == nullptr) {
           return Fail("missing reduce axis reconstruction in " + s.name());
         }
-        bindings[axis->var_id] = it->second;
+        bindings[axis->var_id] = *reconstruction;
         if (s.guarded_axes.count(axis->var_id) > 0) {
-          Expr cond = it->second < IntImm(axis->var_extent);
+          Expr cond = *reconstruction < IntImm(axis->var_extent);
           guard = guard.defined() ? (guard && cond) : cond;
         }
       }
@@ -320,10 +329,10 @@ class Lowerer {
     return true;
   }
 
-  LoopTreeNodeRef MakeLoop(const Iterator& it, const std::string& stage_name) {
+  LoopTreeNodeRef MakeLoop(const Iterator& it, const Expr& var, const std::string& stage_name) {
     auto loop = std::make_unique<LoopTreeNode>();
     loop->kind = LoopTreeKind::kLoop;
-    loop->var = it.var;
+    loop->var = var;
     loop->extent = it.extent;
     loop->annotation = it.annotation;
     loop->iter_kind = it.kind;
@@ -347,6 +356,7 @@ class Lowerer {
   // compute_at children at loop levels.
   bool GenStage(int stage_idx, std::vector<LoopTreeNodeRef>* out) {
     const Stage& s = state_.stage(stage_idx);
+    const StageExprs& se = exprs_[static_cast<size_t>(stage_idx)];
 
     std::vector<Expr> final_axis;
     std::vector<bool> guard_dim;
@@ -358,12 +368,16 @@ class Lowerer {
       guard_dim.assign(ndim, false);
       for (size_t d = 0; d < ndim; ++d) {
         int64_t axis_id = s.op->axis[d]->var_id;
-        final_axis[d] = s.axis_value.at(axis_id);
+        const Expr* value = se.AxisValue(axis_id);
+        if (value == nullptr) {
+          return Fail("missing axis reconstruction in " + s.name());
+        }
+        final_axis[d] = *value;
         guard_dim[d] = s.guarded_axes.count(axis_id) > 0;
       }
     } else {
       AtContext ctx;
-      if (!ComputeAtContext(s, &ctx)) {
+      if (!ComputeAtContext(stage_idx, &ctx)) {
         return false;
       }
       final_axis = std::move(ctx.final_axis);
@@ -372,7 +386,7 @@ class Lowerer {
     }
 
     StoreInfo stores;
-    if (!BuildStores(s, final_axis, guard_dim, &stores)) {
+    if (!BuildStores(s, se, final_axis, guard_dim, &stores)) {
       return false;
     }
 
@@ -385,10 +399,9 @@ class Lowerer {
         if (!keep_iter[p - 1] || it.kind != IterKind::kSpace) {
           continue;
         }
-        Iterator init_iter = it;
         // Init loops reuse the same loop variables; annotations carry over so
         // the simulator sees the same parallel structure.
-        LoopTreeNodeRef loop = MakeLoop(init_iter, s.name());
+        LoopTreeNodeRef loop = MakeLoop(it, se.iter_vars[p - 1], s.name());
         loop->children.push_back(std::move(body));
         body = std::move(loop);
       }
@@ -405,7 +418,7 @@ class Lowerer {
       if (!keep_iter[p - 1]) {
         continue;
       }
-      LoopTreeNodeRef loop = MakeLoop(it, s.name());
+      LoopTreeNodeRef loop = MakeLoop(it, se.iter_vars[p - 1], s.name());
       // Children registered at this level run before the deeper body.
       if (is_root && cit != children_.end()) {
         auto lit = cit->second.find(static_cast<int>(p - 1));
@@ -425,6 +438,7 @@ class Lowerer {
   }
 
   const State& state_;
+  const std::vector<StageExprs>& exprs_;
   LoweredProgram prog_;
   std::unordered_map<std::string, std::unordered_map<int, std::vector<int>>> children_;
 };
@@ -486,12 +500,17 @@ std::string LoweredProgram::ToString() const {
 }
 
 LoweredProgram Lower(const State& state) {
+  return Lower(state, DeriveScheduleExprs(state));
+}
+
+LoweredProgram Lower(const State& state, const std::vector<StageExprs>& exprs) {
   if (state.failed()) {
     LoweredProgram prog;
     prog.error = "state failed: " + state.error();
     return prog;
   }
-  return Lowerer(state).Run();
+  CHECK_EQ(exprs.size(), state.stages().size()) << "exprs must be DeriveScheduleExprs(state)";
+  return Lowerer(state, exprs).Run();
 }
 
 }  // namespace ansor

@@ -1,6 +1,7 @@
 #include "src/program/program_artifact.h"
 
 #include "src/dag/compute_dag.h"
+#include "src/ir/stage_exprs.h"
 #include "src/ir/state.h"
 
 namespace ansor {
@@ -16,16 +17,20 @@ ProgramArtifact::ProgramArtifact(const State& state, std::string signature,
   TraceSpan build(tracer, "artifact_build", "program");
   Tracer nested = build.child();
   const Tracer* child = build.enabled() ? &nested : nullptr;
+  // One derivation of the loop Vars and axis reconstructions serves both the
+  // lowering and the verifier's iterator-domain check.
+  std::vector<StageExprs> exprs;
   {
     TraceSpan lower(child, "lower", "program");
-    lowered_ = Lower(state);
+    exprs = DeriveScheduleExprs(state);
+    lowered_ = Lower(state, exprs);
   }
   lowering_ok_ = lowered_.ok;
   if (lowered_.ok) {
     TraceSpan extract(child, "extract_features", "program");
     features_ = ExtractFeatures(lowered_);
   }
-  verifier_report_ = VerifyProgram(state, lowered_, child);
+  verifier_report_ = VerifyProgram(state, exprs, lowered_, child);
   structurally_legal_ = verifier_report_.legal();
   materialized_.store(true, std::memory_order_release);
 }
@@ -68,8 +73,9 @@ void ProgramArtifact::Materialize() const {
   // runs, so a materialized warm artifact is indistinguishable from a cold
   // build of the same (DAG, steps).
   State state = State::Replay(dag_.get(), steps_);
-  lowered_ = Lower(state);
-  verifier_report_ = VerifyProgram(state, lowered_);
+  const std::vector<StageExprs> exprs = DeriveScheduleExprs(state);
+  lowered_ = Lower(state, exprs);
+  verifier_report_ = VerifyProgram(state, exprs, lowered_);
   materialized_.store(true, std::memory_order_release);
 }
 

@@ -31,6 +31,7 @@
 #define ANSOR_SRC_STORE_ARTIFACT_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>

@@ -126,6 +126,65 @@ TEST(ProgramVerifier, UnguardedShiftedReadIsRejected) {
   EXPECT_NE(VerifyAgainstNaive(s, program), "");
 }
 
+// The iterator-domain check reads the reconstructions DeriveStageExprs builds
+// from the stage's relation record, so corrupting the record (after a legal
+// lowering) must make it fire.
+bool HasDiagnostic(const CheckVerdict& verdict, const std::string& needle) {
+  for (const std::string& diag : verdict.diagnostics) {
+    if (diag.find(needle) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ProgramVerifier, DroppedAxisRelationLeavesAxisWithoutReconstruction) {
+  ComputeDAG dag = testing::Matmul(16, 16, 16);
+  State s(&dag);
+  ASSERT_TRUE(s.Split("C", 0, {4}));
+  LoweredProgram program = Lower(s);
+  ASSERT_TRUE(program.ok) << program.error;
+  std::vector<IterRelation>& relations = s.stages()[0].relations;
+  ASSERT_EQ(relations[0].kind, IterRelationKind::kAxis);
+  relations.erase(relations.begin());  // axis i loses its root
+  VerifierReport report = VerifyProgram(s, program);
+  const CheckVerdict& domain = report.check(VerifierCheck::kIteratorDomain);
+  EXPECT_EQ(domain.verdict, VerifierVerdict::kFail);
+  EXPECT_TRUE(HasDiagnostic(domain, "has no reconstruction expression")) << report.ToString();
+  // i.0 and i.1 no longer reach any axis.
+  EXPECT_TRUE(HasDiagnostic(domain, "iterator i.0 does not contribute")) << report.ToString();
+  // Lowering the corrupted state fails cleanly instead of crashing.
+  LoweredProgram relowered = Lower(s);
+  EXPECT_FALSE(relowered.ok);
+  EXPECT_NE(relowered.error.find("missing axis reconstruction"), std::string::npos)
+      << relowered.error;
+}
+
+TEST(ProgramVerifier, RedirectedSplitRelationReferencesDanglingVariable) {
+  ComputeDAG dag = testing::Matmul(16, 16, 16);
+  State s(&dag);
+  ASSERT_TRUE(s.Split("C", 0, {4}));
+  LoweredProgram program = Lower(s);
+  ASSERT_TRUE(program.ok) << program.error;
+  IterRelation& inner = s.stages()[0].relations.back();
+  ASSERT_EQ(inner.kind, IterRelationKind::kSplit);
+  inner.over = 1000;  // no iterator has this id
+  VerifierReport report = VerifyProgram(s, program);
+  const CheckVerdict& domain = report.check(VerifierCheck::kIteratorDomain);
+  EXPECT_EQ(domain.verdict, VerifierVerdict::kFail);
+  EXPECT_TRUE(HasDiagnostic(domain, "references dangling variable <iterator 1000>"))
+      << report.ToString();
+  EXPECT_TRUE(HasDiagnostic(domain, "iterator i.1 does not contribute")) << report.ToString();
+
+  // A wrong multiplier keeps every variable but breaks the axis's coverage.
+  inner.over = s.stage(0).iters[1].id;
+  s.stages()[0].relations[s.stages()[0].relations.size() - 2].factor = 8;
+  report = VerifyProgram(s, program);
+  EXPECT_TRUE(HasDiagnostic(report.check(VerifierCheck::kIteratorDomain),
+                            "without a guard"))
+      << report.ToString();
+}
+
 TEST(ProgramVerifier, StrippedSplitGuardIsCaughtStatically) {
   // Disabling a split guard makes the tail iterations run out of bounds. The
   // verifier must catch it, and the interpreter must reject the same program

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "src/ir/stage_exprs.h"
 #include "src/ir/state.h"
 #include "src/sampler/annotation.h"
 #include "src/sketch/sketch.h"
@@ -387,23 +388,48 @@ TEST(State, ComputeInlineSharesUntouchedSubtreesAndOps) {
   EXPECT_EQ(state.stage(state.StageIndex("E")).op.get(), e_before.get());
 }
 
-TEST(State, SplitLeavesOtherAxisReconstructionsShared) {
+TEST(State, SplitThenFuseRecordsRelationsAndDerivesReconstructions) {
   ComputeDAG dag = testing::Matmul();
   State state(&dag);
-  const Stage& before = state.stage(0);
-  std::unordered_map<int64_t, const ExprNode*> old_values;
-  for (const auto& [axis, value] : before.axis_value) {
-    old_values[axis] = value.get();
+  ASSERT_TRUE(state.Split("C", 0, {4}));  // i -> i.0(4), i.1(4)
+  ASSERT_TRUE(state.Fuse("C", 1, 2));     // i.1, j -> i.1@j(64)
+  const Stage& c = state.stage(0);
+  ASSERT_EQ(c.iters.size(), 3u);
+  EXPECT_EQ(c.iters[1].name, "i.1@j");
+
+  // The record is plain data: three axis roots, two split parts, two fuse
+  // components, in application order.
+  std::vector<IterRelationKind> kinds;
+  for (const IterRelation& r : c.relations) {
+    kinds.push_back(r.kind);
   }
-  const int64_t split_axis = before.iters[0].orig_axis_id;
-  ASSERT_TRUE(state.Split("C", 0, {4}));
-  for (const auto& [axis, value] : state.stage(0).axis_value) {
-    if (axis == split_axis) {
-      EXPECT_NE(value.get(), old_values[axis]);
-    } else {
-      EXPECT_EQ(value.get(), old_values[axis]) << "axis " << axis << " was copied";
-    }
+  EXPECT_EQ(kinds, (std::vector<IterRelationKind>{
+                       IterRelationKind::kAxis, IterRelationKind::kAxis, IterRelationKind::kAxis,
+                       IterRelationKind::kSplit, IterRelationKind::kSplit, IterRelationKind::kFuse,
+                       IterRelationKind::kFuse}));
+
+  // The derived reconstructions are the expressions split and fuse define.
+  const StageExprs exprs = DeriveStageExprs(c);
+  ASSERT_EQ(exprs.iter_vars.size(), 3u);
+  ASSERT_EQ(exprs.axis_values.size(), 3u);
+  EXPECT_EQ(ToString(exprs.axis_values[0].second), "((i.0 * 4) + (i.1@j / 16))");
+  EXPECT_EQ(ToString(exprs.axis_values[1].second), "(i.1@j % 16)");
+  EXPECT_EQ(ToString(exprs.axis_values[2].second), "k");
+  for (size_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(exprs.axis_values[d].first, dag.op(2)->axis[d]->var_id);
   }
+  // They are built over the derivation's own loop Vars, which carry the
+  // iterators' names and extents.
+  const Expr& i_value = exprs.axis_values[0].second;
+  EXPECT_EQ(i_value->operands[0]->operands[0].get(), exprs.iter_vars[0].get());
+  EXPECT_EQ(i_value->operands[1]->operands[0].get(), exprs.iter_vars[1].get());
+  EXPECT_EQ(exprs.axis_values[2].second.get(), exprs.iter_vars[2].get());
+  EXPECT_EQ(exprs.iter_vars[1]->var_name, "i.1@j");
+  EXPECT_EQ(exprs.iter_vars[1]->var_extent, 64);
+  // A second derivation builds fresh Vars with the same structure.
+  const StageExprs again = DeriveStageExprs(c);
+  EXPECT_NE(again.iter_vars[0]->var_id, exprs.iter_vars[0]->var_id);
+  EXPECT_EQ(ToString(again.axis_values[0].second), ToString(exprs.axis_values[0].second));
 }
 
 // --- Golden signature bytes ----------------------------------------------------
