@@ -161,7 +161,7 @@ void CheckIteratorDomains(const State& state, const std::vector<StageExprs>& exp
     }
     std::unordered_set<int64_t> referenced;
     for (const auto& [axis_id, extent] : stage.axis_extent) {
-      const Expr* value = se.AxisValue(axis_id);
+      const Expr* value = se.Reconstruction(axis_id);
       if (value == nullptr) {
         fail(stage, "axis " + std::to_string(axis_id) + " has no reconstruction expression");
         continue;

@@ -5,8 +5,8 @@
 
 namespace ansor {
 
-const Expr* StageExprs::AxisValue(int64_t axis_id) const {
-  for (const auto& [axis, value] : axis_values) {
+const Expr* StageExprs::Reconstruction(int64_t axis_id) const {
+  for (const auto& [axis, value] : reconstructions) {
     if (axis == axis_id) {
       return &value;
     }
@@ -90,7 +90,7 @@ StageExprs DeriveStageExprs(const Stage& stage) {
 
   for (const IterRelation& r : rel) {
     if (r.kind == IterRelationKind::kAxis) {
-      out.axis_values.emplace_back(r.axis_id, value_of(r.over));
+      out.reconstructions.emplace_back(r.axis_id, value_of(r.over));
     }
   }
   return out;

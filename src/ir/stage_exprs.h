@@ -27,10 +27,10 @@ struct StageExprs {
   // current iterator nor defined by a later relation (a corrupted record)
   // yields a Var that no iterator owns, which the verifier reports as
   // dangling.
-  std::vector<std::pair<int64_t, Expr>> axis_values;
+  std::vector<std::pair<int64_t, Expr>> reconstructions;
 
   // The reconstruction of `axis_id`, or null when the record has none.
-  const Expr* AxisValue(int64_t axis_id) const;
+  const Expr* Reconstruction(int64_t axis_id) const;
 };
 
 // Derives a stage's loop Vars and axis reconstructions. Each call builds

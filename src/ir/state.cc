@@ -635,7 +635,7 @@ bool State::ApplyRfactor(const Step& step) {
   // The original reduction var reconstructs from (kept, other) via the
   // stage's axis reconstruction; substitute kept -> kr, other -> ko.
   const StageExprs exprs = DeriveStageExprs(stage);
-  const Expr* k_value_ptr = exprs.AxisValue(reduce_axis_id);
+  const Expr* k_value_ptr = exprs.Reconstruction(reduce_axis_id);
   if (k_value_ptr == nullptr) {
     return Fail("rfactor reduction axis has no reconstruction in " + step.stage);
   }

@@ -127,7 +127,7 @@ class Lowerer {
     std::vector<int64_t> coverage(ndim, 1);
     for (size_t d = 0; d < ndim; ++d) {
       int64_t axis_id = c.op->axis[d]->var_id;
-      const Expr* value = ce.AxisValue(axis_id);
+      const Expr* value = ce.Reconstruction(axis_id);
       if (value == nullptr) {
         return Fail("missing axis reconstruction in " + c.name());
       }
@@ -227,7 +227,7 @@ class Lowerer {
     }
     for (size_t d = 0; d < ndim; ++d) {
       int64_t axis_id = s.op->axis[d]->var_id;
-      const Expr* value = se.AxisValue(axis_id);
+      const Expr* value = se.Reconstruction(axis_id);
       if (value == nullptr) {
         return Fail("missing axis reconstruction in " + s.name());
       }
@@ -273,7 +273,7 @@ class Lowerer {
     if (is_reduce) {
       const ExprNode& red = *s.op->body.get();
       for (const Expr& axis : red.reduce_axes) {
-        const Expr* reconstruction = se.AxisValue(axis->var_id);
+        const Expr* reconstruction = se.Reconstruction(axis->var_id);
         if (reconstruction == nullptr) {
           return Fail("missing reduce axis reconstruction in " + s.name());
         }
@@ -368,7 +368,7 @@ class Lowerer {
       guard_dim.assign(ndim, false);
       for (size_t d = 0; d < ndim; ++d) {
         int64_t axis_id = s.op->axis[d]->var_id;
-        const Expr* value = se.AxisValue(axis_id);
+        const Expr* value = se.Reconstruction(axis_id);
         if (value == nullptr) {
           return Fail("missing axis reconstruction in " + s.name());
         }

@@ -411,25 +411,25 @@ TEST(State, SplitThenFuseRecordsRelationsAndDerivesReconstructions) {
   // The derived reconstructions are the expressions split and fuse define.
   const StageExprs exprs = DeriveStageExprs(c);
   ASSERT_EQ(exprs.iter_vars.size(), 3u);
-  ASSERT_EQ(exprs.axis_values.size(), 3u);
-  EXPECT_EQ(ToString(exprs.axis_values[0].second), "((i.0 * 4) + (i.1@j / 16))");
-  EXPECT_EQ(ToString(exprs.axis_values[1].second), "(i.1@j % 16)");
-  EXPECT_EQ(ToString(exprs.axis_values[2].second), "k");
+  ASSERT_EQ(exprs.reconstructions.size(), 3u);
+  EXPECT_EQ(ToString(exprs.reconstructions[0].second), "((i.0 * 4) + (i.1@j / 16))");
+  EXPECT_EQ(ToString(exprs.reconstructions[1].second), "(i.1@j % 16)");
+  EXPECT_EQ(ToString(exprs.reconstructions[2].second), "k");
   for (size_t d = 0; d < 2; ++d) {
-    EXPECT_EQ(exprs.axis_values[d].first, dag.op(2)->axis[d]->var_id);
+    EXPECT_EQ(exprs.reconstructions[d].first, dag.op(2)->axis[d]->var_id);
   }
   // They are built over the derivation's own loop Vars, which carry the
   // iterators' names and extents.
-  const Expr& i_value = exprs.axis_values[0].second;
+  const Expr& i_value = exprs.reconstructions[0].second;
   EXPECT_EQ(i_value->operands[0]->operands[0].get(), exprs.iter_vars[0].get());
   EXPECT_EQ(i_value->operands[1]->operands[0].get(), exprs.iter_vars[1].get());
-  EXPECT_EQ(exprs.axis_values[2].second.get(), exprs.iter_vars[2].get());
+  EXPECT_EQ(exprs.reconstructions[2].second.get(), exprs.iter_vars[2].get());
   EXPECT_EQ(exprs.iter_vars[1]->var_name, "i.1@j");
   EXPECT_EQ(exprs.iter_vars[1]->var_extent, 64);
   // A second derivation builds fresh Vars with the same structure.
   const StageExprs again = DeriveStageExprs(c);
   EXPECT_NE(again.iter_vars[0]->var_id, exprs.iter_vars[0]->var_id);
-  EXPECT_EQ(ToString(again.axis_values[0].second), ToString(exprs.axis_values[0].second));
+  EXPECT_EQ(ToString(again.reconstructions[0].second), ToString(exprs.reconstructions[0].second));
 }
 
 // --- Golden signature bytes ----------------------------------------------------
