@@ -269,28 +269,13 @@ void CheckDefBeforeUse(const LoweredProgram& program, CheckVerdict* verdict) {
   }
 }
 
-void CheckAnnotationLimits(const LoopTreeNode& node, const MachineModel& machine,
-                           CheckVerdict* verdict) {
-  if (node.kind == LoopTreeKind::kLoop) {
-    if (node.annotation == IterAnnotation::kVectorize && machine.max_vector_extent > 0 &&
-        node.extent > machine.max_vector_extent) {
-      verdict->verdict = VerifierVerdict::kFail;
-      verdict->diagnostics.push_back(
-          "stage " + node.stage_name + ": vectorized loop extent " + std::to_string(node.extent) +
-          " exceeds the machine's register budget of " +
-          std::to_string(machine.max_vector_extent) + " lanes-equivalents");
-    }
-    if (node.annotation == IterAnnotation::kThreadX && machine.max_threads_per_core > 0 &&
-        node.extent > machine.max_threads_per_core) {
-      verdict->verdict = VerifierVerdict::kFail;
-      verdict->diagnostics.push_back("stage " + node.stage_name + ": thread-bound loop extent " +
-                                     std::to_string(node.extent) + " exceeds " +
-                                     std::to_string(machine.max_threads_per_core) +
-                                     " resident threads per core");
-    }
+void SummarizeLoops(const LoopTreeNode& node, std::vector<ResourceSummary::Loop>* out) {
+  if (node.kind == LoopTreeKind::kLoop && (node.annotation == IterAnnotation::kVectorize ||
+                                           node.annotation == IterAnnotation::kThreadX)) {
+    out->push_back(ResourceSummary::Loop{node.stage_name, node.annotation, node.extent});
   }
   for (const LoopTreeNodeRef& child : node.children) {
-    CheckAnnotationLimits(*child, machine, verdict);
+    SummarizeLoops(*child, out);
   }
 }
 
@@ -348,30 +333,59 @@ VerifierReport VerifyProgram(const State& state, const std::vector<StageExprs>& 
   return report;
 }
 
-CheckVerdict VerifyResources(const LoweredProgram& program, const MachineModel& machine,
+ResourceSummary SummarizeResources(const LoweredProgram& program) {
+  ResourceSummary summary;
+  if (!program.ok) {
+    return summary;
+  }
+  summary.lowered = true;
+  for (const auto& [name, buffer] : program.buffers) {
+    summary.footprint_bytes += buffer->NumElements() * static_cast<int64_t>(sizeof(float));
+  }
+  for (const LoopTreeNodeRef& root : program.roots) {
+    SummarizeLoops(*root, &summary.loops);
+  }
+  return summary;
+}
+
+CheckVerdict VerifyResources(const ResourceSummary& summary, const MachineModel& machine,
                              const Tracer* tracer) {
   TraceSpan span(tracer, "verify_resources", "analysis");
   CheckVerdict verdict;
-  if (!program.ok) {
+  if (!summary.lowered) {
     return verdict;  // kSkipped: nothing to check
   }
   verdict.verdict = VerifierVerdict::kPass;
-  if (machine.memory_capacity_bytes > 0) {
-    int64_t footprint = 0;
-    for (const auto& [name, buffer] : program.buffers) {
-      footprint += buffer->NumElements() * static_cast<int64_t>(sizeof(float));
-    }
-    if (footprint > machine.memory_capacity_bytes) {
-      verdict.verdict = VerifierVerdict::kFail;
-      verdict.diagnostics.push_back(
-          "buffer footprint " + std::to_string(footprint) + " bytes exceeds " + machine.name +
-          " memory capacity of " + std::to_string(machine.memory_capacity_bytes) + " bytes");
-    }
+  auto fail = [&verdict](std::string message) {
+    verdict.verdict = VerifierVerdict::kFail;
+    verdict.diagnostics.push_back(std::move(message));
+  };
+  if (machine.memory_capacity_bytes > 0 &&
+      summary.footprint_bytes > machine.memory_capacity_bytes) {
+    fail("buffer footprint " + std::to_string(summary.footprint_bytes) + " bytes exceeds " +
+         machine.name + " memory capacity of " +
+         std::to_string(machine.memory_capacity_bytes) + " bytes");
   }
-  for (const LoopTreeNodeRef& root : program.roots) {
-    CheckAnnotationLimits(*root, machine, &verdict);
+  for (const ResourceSummary::Loop& loop : summary.loops) {
+    if (loop.annotation == IterAnnotation::kVectorize && machine.max_vector_extent > 0 &&
+        loop.extent > machine.max_vector_extent) {
+      fail("stage " + loop.stage + ": vectorized loop extent " + std::to_string(loop.extent) +
+           " exceeds the machine's register budget of " +
+           std::to_string(machine.max_vector_extent) + " lanes-equivalents");
+    }
+    if (loop.annotation == IterAnnotation::kThreadX && machine.max_threads_per_core > 0 &&
+        loop.extent > machine.max_threads_per_core) {
+      fail("stage " + loop.stage + ": thread-bound loop extent " + std::to_string(loop.extent) +
+           " exceeds " + std::to_string(machine.max_threads_per_core) +
+           " resident threads per core");
+    }
   }
   return verdict;
+}
+
+CheckVerdict VerifyResources(const LoweredProgram& program, const MachineModel& machine,
+                             const Tracer* tracer) {
+  return VerifyResources(SummarizeResources(program), machine, tracer);
 }
 
 int EffectiveVerifyLevel(int configured) {

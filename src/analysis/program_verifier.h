@@ -30,9 +30,10 @@
 //
 // Checks 1-4 are pure functions of (state, program) and are stamped onto the
 // ProgramArtifact at construction, so the ProgramCache computes them once per
-// distinct program. Check 5 depends on the machine and is memoized on the
-// artifact keyed by MachineModel::Fingerprint(), under the same
-// once-per-artifact discipline as the stage-score memo.
+// distinct program. Check 5 depends on the machine, but all it reads of the
+// program is a small machine-independent ResourceSummary; the artifact keeps
+// that summary (not the loop tree) and memoizes the check's verdict keyed by
+// MachineModel::Fingerprint().
 //
 // Soundness direction: a kPass verdict is a proof — the verifier never
 // passes a bounds/domain/ordering property that could fail at runtime. The
@@ -114,10 +115,29 @@ VerifierReport VerifyProgram(const State& state, const LoweredProgram& program,
 VerifierReport VerifyProgram(const State& state, const std::vector<StageExprs>& exprs,
                              const LoweredProgram& program, const Tracer* tracer = nullptr);
 
+// Everything the resource check reads of a lowered program: the total
+// buffer footprint and, in DFS order, every vectorized or thread-bound
+// (kThreadX) loop. Machine-independent, so one summary serves every machine.
+struct ResourceSummary {
+  struct Loop {
+    std::string stage;
+    IterAnnotation annotation = IterAnnotation::kNone;
+    int64_t extent = 0;
+  };
+  bool lowered = false;  // false: lowering failed and there is nothing to check
+  int64_t footprint_bytes = 0;
+  std::vector<Loop> loops;
+};
+
+ResourceSummary SummarizeResources(const LoweredProgram& program);
+
 // Runs the machine-dependent resource checks against one machine model. Pure
 // function of its arguments; returns kSkipped when the program's lowering
 // failed (there is nothing to check). A non-null `tracer` records the
-// consult as a "verify_resources" span.
+// consult as a "verify_resources" span. The LoweredProgram form checks
+// SummarizeResources(program): both give the same verdict and diagnostics.
+CheckVerdict VerifyResources(const ResourceSummary& summary, const MachineModel& machine,
+                             const Tracer* tracer = nullptr);
 CheckVerdict VerifyResources(const LoweredProgram& program, const MachineModel& machine,
                              const Tracer* tracer = nullptr);
 

@@ -1,6 +1,6 @@
 #include "src/core/ansor.h"
 
-#include <optional>
+#include "src/lower/loop_tree.h"
 
 namespace ansor {
 
@@ -31,14 +31,6 @@ AnsorResult AutoSchedule(const ComputeDAG& dag, int num_measure_trials,
   SearchOptions search = options.search;
   search.seed = options.seed;
   ConfigureForTarget(options.target, &search);
-  // Task-lifetime compiled-program cache shared by the whole tuning run and
-  // the final best-program printout (which is then a cache hit, not a
-  // re-compile). Only constructed when the caller did not inject one.
-  std::optional<ProgramCache> owned_cache;
-  if (search.program_cache == nullptr) {
-    owned_cache.emplace(search.program_cache_capacity);
-    search.program_cache = &*owned_cache;
-  }
 
   AnsorResult result;
   result.raw = TuneTask(task, &measurer, &model, num_measure_trials,
@@ -46,17 +38,19 @@ AnsorResult AutoSchedule(const ComputeDAG& dag, int num_measure_trials,
   if (!result.raw.best_state.has_value()) {
     return result;
   }
-  ProgramArtifactPtr best = search.program_cache->GetOrBuild(*result.raw.best_state);
-  if (!best->ok()) {
+  // The program cache keeps features and verdicts, not loop trees, so the
+  // winner is lowered once more to print it.
+  LoweredProgram best = Lower(*result.raw.best_state);
+  if (!best.ok) {
     // A best state was measured valid, so a failed re-lower indicates a bug;
     // report the diagnostic instead of pretty-printing a broken tree.
-    result.best_program = "<lowering failed: " + best->lowered().error + ">";
+    result.best_program = "<lowering failed: " + best.error + ">";
     return result;
   }
   result.ok = true;
   result.seconds = result.raw.best_seconds;
   result.gflops = result.raw.best_throughput / 1e9;
-  result.best_program = best->lowered().ToString();
+  result.best_program = best.ToString();
   return result;
 }
 

@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "src/exec/interpreter.h"
-#include "src/program/program_cache.h"
+#include "src/lower/loop_tree.h"
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
 #include "src/support/util.h"
@@ -18,8 +18,6 @@ namespace ansor {
 // one to finish wakes the waiter.
 struct PendingMeasureBatch::Shared {
   Measurer* measurer = nullptr;
-  ProgramCache* cache = nullptr;
-  uint64_t cache_client_id = 0;
   std::vector<State> states;
   std::vector<MeasureResult> results;
   std::atomic<bool> cancel{false};
@@ -47,8 +45,7 @@ struct PendingMeasureBatch::Shared {
         span.Arg("outcome", "cancelled");
       }
     } else {
-      results[i] = measurer->MeasureImpl(states[i], 0, cache, cache_client_id,
-                                         tracer.enabled() ? &tracer : nullptr,
+      results[i] = measurer->MeasureImpl(states[i], 0, tracer.enabled() ? &tracer : nullptr,
                                          submit_nanos);
     }
     // Publication order matters: once `done` reaches the batch size, Wait()
@@ -122,7 +119,6 @@ Measurer::Measurer(MachineModel machine, MeasureOptions options)
     : machine_(std::move(machine)), options_(std::move(options)) {}
 
 MeasureResult Measurer::MeasureImpl(const State& state, uint64_t noise_tag,
-                                    ProgramCache* cache, uint64_t cache_client_id,
                                     const Tracer* tracer, int64_t submit_nanos) {
   trials_.fetch_add(1);
   TraceSpan span(tracer, "measure_trial", "measure");
@@ -137,21 +133,9 @@ MeasureResult Measurer::MeasureImpl(const State& state, uint64_t noise_tag,
     span.Arg("outcome", "invalid");
     return result;
   }
-  // With a cache, candidates the search already compiled (population scoring,
-  // lowerability probes) are measured from the shared artifact.
-  ProgramArtifactPtr artifact;
-  LoweredProgram local;
-  const LoweredProgram* program;
-  if (cache != nullptr) {
-    artifact = cache->GetOrBuild(state, cache_client_id,
-                                 span.enabled() ? tracer : nullptr);
-    program = &artifact->lowered();
-  } else {
-    local = Lower(state);
-    program = &local;
-  }
-  if (!program->ok) {
-    result.error = "lowering failed: " + program->error;
+  const LoweredProgram program = Lower(state);
+  if (!program.ok) {
+    result.error = "lowering failed: " + program.error;
     span.Arg("outcome", "invalid");
     return result;
   }
@@ -163,14 +147,14 @@ MeasureResult Measurer::MeasureImpl(const State& state, uint64_t noise_tag,
   if (options_.verify_every > 0 &&
       verify_counter_.fetch_add(1) % options_.verify_every == 0) {
     verifications_.fetch_add(1);
-    std::string mismatch = VerifyAgainstNaive(state, *program);
+    std::string mismatch = VerifyAgainstNaive(state, program);
     if (!mismatch.empty()) {
       result.error = "verification failed: " + mismatch;
       span.Arg("outcome", "invalid");
       return result;
     }
   }
-  SimulatedCost cost = SimulateProgram(*program, machine_, options_.sim);
+  SimulatedCost cost = SimulateProgram(program, machine_, options_.sim);
   // Emulated device occupancy: the trial holds this worker for the configured
   // wall-clock duration, like a real on-device run would. Applied to valid
   // and invalid simulations alike (both occupied the device), but not to
@@ -204,21 +188,16 @@ MeasureResult Measurer::MeasureImpl(const State& state, uint64_t noise_tag,
   return result;
 }
 
-MeasureResult Measurer::Measure(const State& state, ProgramCache* cache,
-                                uint64_t cache_client_id, const Tracer* tracer) {
-  return MeasureImpl(state, 0, cache != nullptr ? cache : options_.program_cache,
-                     cache_client_id, tracer);
+MeasureResult Measurer::Measure(const State& state, const Tracer* tracer) {
+  return MeasureImpl(state, 0, tracer);
 }
 
 std::vector<MeasureResult> Measurer::MeasureBatch(const std::vector<State>& states,
-                                                  ProgramCache* cache,
-                                                  uint64_t cache_client_id,
                                                   const Tracer* tracer) {
-  return SubmitBatch(states, cache, cache_client_id, nullptr, tracer).Wait();
+  return SubmitBatch(states, nullptr, tracer).Wait();
 }
 
-PendingMeasureBatch Measurer::SubmitBatch(std::vector<State> states, ProgramCache* cache,
-                                          uint64_t cache_client_id, ThreadPool* pool,
+PendingMeasureBatch Measurer::SubmitBatch(std::vector<State> states, ThreadPool* pool,
                                           const Tracer* tracer) {
   PendingMeasureBatch handle;
   if (states.empty()) {
@@ -226,8 +205,6 @@ PendingMeasureBatch Measurer::SubmitBatch(std::vector<State> states, ProgramCach
   }
   auto shared = std::make_shared<PendingMeasureBatch::Shared>();
   shared->measurer = this;
-  shared->cache = cache != nullptr ? cache : options_.program_cache;
-  shared->cache_client_id = cache_client_id;
   shared->states = std::move(states);
   shared->results.resize(shared->states.size());
   if (tracer != nullptr && tracer->enabled()) {

@@ -1,6 +1,11 @@
 // The Measurer (paper Fig. 4): compiles (lowers) candidate programs and
 // "executes" them on the simulated target, returning execution time.
 //
+// Each trial lowers the State it measures. Only the few best candidates of a
+// round are measured, so the loop tree lives for one trial; the search's
+// ProgramCache keeps features and verdicts, not trees
+// (src/program/program_artifact.h).
+//
 // Mirrors real-hardware behaviour the search must cope with: invalid programs
 // fail measurement (throughput 0), results can carry multiplicative noise,
 // and batch measurement runs in parallel.
@@ -22,7 +27,6 @@
 
 namespace ansor {
 
-class ProgramCache;
 class ThreadPool;
 
 struct MeasureOptions {
@@ -48,11 +52,6 @@ struct MeasureOptions {
   // single-thread device pool). nullptr = the pool passed to SubmitBatch,
   // else ThreadPool::Global().
   ThreadPool* thread_pool = nullptr;
-  // Default compiled-program cache: candidates already lowered by the search
-  // (population scoring) are measured without re-lowering. Overridable per
-  // call — the search policy passes its task-lifetime cache — and nullptr
-  // means lower from scratch. Measurement results are identical either way.
-  ProgramCache* program_cache = nullptr;
   // Emulated per-trial device occupancy (seconds): after computing the
   // simulated cost, the measurement holds its worker for this wall-clock
   // duration, modeling the host-idle time real hardware measurement imposes
@@ -108,20 +107,14 @@ class Measurer {
 
   const MachineModel& machine() const { return machine_; }
 
-  // `cache` overrides MeasureOptions::program_cache for this call (the
-  // search policy injects its per-task cache); nullptr falls back to it.
-  // `cache_client_id` tags the cache lookups for cross-task accounting
-  // (ProgramCache::GetOrBuild); 0 = anonymous. A non-null `tracer` records a
-  // "measure_trial" span per trial (args: outcome, and queue_seconds for
-  // batch items — the time the item waited for a device worker; the
-  // span's own duration is the device time) under a "measure_batch" span
-  // covering submit→complete. Results are identical with tracing on or off.
-  MeasureResult Measure(const State& state, ProgramCache* cache = nullptr,
-                        uint64_t cache_client_id = 0, const Tracer* tracer = nullptr);
+  // A non-null `tracer` records a "measure_trial" span per trial (args:
+  // outcome, and queue_seconds for batch items — the time the item waited
+  // for a device worker; the span's own duration is the device time) under
+  // a "measure_batch" span covering submit→complete. Results are identical
+  // with tracing on or off.
+  MeasureResult Measure(const State& state, const Tracer* tracer = nullptr);
   // SubmitBatch(...).Wait(): the synchronous spelling of the one batch path.
   std::vector<MeasureResult> MeasureBatch(const std::vector<State>& states,
-                                          ProgramCache* cache = nullptr,
-                                          uint64_t cache_client_id = 0,
                                           const Tracer* tracer = nullptr);
 
   // Enqueues one measurement per state and returns immediately. Items run on
@@ -130,11 +123,10 @@ class Measurer {
   // workers), else on `pool`, else the global pool. The submit/drain split
   // lets a deadline cancel the unstarted remainder, and lets other jobs
   // search on the host workers while this batch occupies the device. The
-  // Measurer (and cache, if any) must outlive the returned handle's Wait().
+  // Measurer must outlive the returned handle's Wait().
   // With a tracer, the "measure_batch" span opens at submission and is
   // recorded by whichever worker completes the batch's last item.
-  PendingMeasureBatch SubmitBatch(std::vector<State> states, ProgramCache* cache = nullptr,
-                                  uint64_t cache_client_id = 0, ThreadPool* pool = nullptr,
+  PendingMeasureBatch SubmitBatch(std::vector<State> states, ThreadPool* pool = nullptr,
                                   const Tracer* tracer = nullptr);
 
   // Total number of measurement trials performed (the budget unit of §7).
@@ -158,9 +150,8 @@ class Measurer {
  private:
   friend class PendingMeasureBatch;  // batch items run through MeasureImpl
 
-  MeasureResult MeasureImpl(const State& state, uint64_t noise_tag, ProgramCache* cache,
-                            uint64_t cache_client_id, const Tracer* tracer = nullptr,
-                            int64_t submit_nanos = 0);
+  MeasureResult MeasureImpl(const State& state, uint64_t noise_tag,
+                            const Tracer* tracer = nullptr, int64_t submit_nanos = 0);
 
   MachineModel machine_;
   MeasureOptions options_;

@@ -3,8 +3,34 @@
 #include "src/dag/compute_dag.h"
 #include "src/ir/stage_exprs.h"
 #include "src/ir/state.h"
+#include "src/lower/loop_tree.h"
 
 namespace ansor {
+namespace {
+
+// One compile of `state`: one derivation of the loop Vars and axis
+// reconstructions serves both the lowering and the verifier's
+// iterator-domain check. `features` is filled only when non-null and the
+// lowering succeeded. The loop tree and the derivation are locals, so they
+// are freed here, on the thread that built them.
+void Compile(const State& state, const Tracer* tracer, FeatureMatrix* features,
+             VerifierReport* report, ResourceSummary* resources) {
+  std::vector<StageExprs> exprs;
+  LoweredProgram lowered;
+  {
+    TraceSpan lower(tracer, "lower", "program");
+    exprs = DeriveScheduleExprs(state);
+    lowered = Lower(state, exprs);
+  }
+  if (features != nullptr && lowered.ok) {
+    TraceSpan extract(tracer, "extract_features", "program");
+    *features = ExtractFeatures(lowered);
+  }
+  *report = VerifyProgram(state, exprs, lowered, tracer);
+  *resources = SummarizeResources(lowered);
+}
+
+}  // namespace
 
 ProgramArtifact::ProgramArtifact(const State& state)
     : ProgramArtifact(state, StepSignature(state)) {}
@@ -16,21 +42,9 @@ ProgramArtifact::ProgramArtifact(const State& state, std::string signature,
       steps_(state.steps()) {
   TraceSpan build(tracer, "artifact_build", "program");
   Tracer nested = build.child();
-  const Tracer* child = build.enabled() ? &nested : nullptr;
-  // One derivation of the loop Vars and axis reconstructions serves both the
-  // lowering and the verifier's iterator-domain check.
-  std::vector<StageExprs> exprs;
-  {
-    TraceSpan lower(child, "lower", "program");
-    exprs = DeriveScheduleExprs(state);
-    lowered_ = Lower(state, exprs);
-  }
-  lowering_ok_ = lowered_.ok;
-  if (lowered_.ok) {
-    TraceSpan extract(child, "extract_features", "program");
-    features_ = ExtractFeatures(lowered_);
-  }
-  verifier_report_ = VerifyProgram(state, exprs, lowered_, child);
+  Compile(state, build.enabled() ? &nested : nullptr, &features_, &verifier_report_,
+          &resource_summary_);
+  lowering_ok_ = resource_summary_.lowered;
   structurally_legal_ = verifier_report_.legal();
   materialized_.store(true, std::memory_order_release);
 }
@@ -51,7 +65,7 @@ ProgramArtifact::ProgramArtifact(
     // Seed the memo with the snapshot's verdict summary: failed() is all the
     // search consults, so a pass/fail skeleton reproduces every filtering
     // decision without re-lowering. Diagnostics are only re-derived when a
-    // consumer materializes the artifact and recomputes from scratch.
+    // consumer asks about a machine outside the memo.
     auto verdict = std::make_shared<CheckVerdict>();
     verdict->verdict = passed ? VerifierVerdict::kPass : VerifierVerdict::kFail;
     if (!passed) {
@@ -69,19 +83,12 @@ void ProgramArtifact::Materialize() const {
   if (materialized_.load(std::memory_order_acquire)) {
     return;
   }
-  // Replay + lower + verify: the same pure derivation the cold constructor
-  // runs, so a materialized warm artifact is indistinguishable from a cold
+  // The cold constructor's compile minus the features the snapshot already
+  // holds, so a materialized warm artifact is indistinguishable from a cold
   // build of the same (DAG, steps).
-  State state = State::Replay(dag_.get(), steps_);
-  const std::vector<StageExprs> exprs = DeriveScheduleExprs(state);
-  lowered_ = Lower(state, exprs);
-  verifier_report_ = VerifyProgram(state, exprs, lowered_);
+  Compile(State::Replay(dag_.get(), steps_), nullptr, nullptr, &verifier_report_,
+          &resource_summary_);
   materialized_.store(true, std::memory_order_release);
-}
-
-const LoweredProgram& ProgramArtifact::lowered() const {
-  Materialize();
-  return lowered_;
 }
 
 const VerifierReport& ProgramArtifact::verifier_report() const {
@@ -103,8 +110,8 @@ std::shared_ptr<const CheckVerdict> ProgramArtifact::resource_verdict(
   // Computed outside the lock: the verdict is a pure function of
   // (program, machine), so a racing duplicate is identical and harmless.
   Materialize();
-  auto verdict =
-      std::make_shared<const CheckVerdict>(VerifyResources(lowered_, machine, tracer));
+  auto verdict = std::make_shared<const CheckVerdict>(
+      VerifyResources(resource_summary_, machine, tracer));
   std::lock_guard<std::mutex> lock(resources_mu_);
   for (const ResourceMemo& memo : resources_) {
     if (memo.machine_fingerprint == fingerprint) {

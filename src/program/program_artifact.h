@@ -1,29 +1,36 @@
 // One compiled candidate program, content-addressed by its step signature.
 //
 // The search loop compiles the same program many times over: the evolution
-// scores a population, crossover scores its parents, the measurer lowers the
-// chosen candidates, the tuner re-extracts their features for cost-model
-// training, and the core API re-lowers the winner to print it. A
-// ProgramArtifact bundles everything those consumers need — the lowered loop
-// tree and the per-statement feature matrix with per-row stage names — so
-// each distinct program is compiled once per task and served from the
-// ProgramCache thereafter.
+// scores a population, crossover scores its parents, the planner filters
+// candidates with the static verifier, and the tuner re-extracts their
+// features for cost-model training. A ProgramArtifact keeps what those
+// consumers read — the per-statement feature matrix with per-row stage
+// names, the structural verifier report, and the small resource summary the
+// machine-dependent check reads — so each distinct program is compiled once
+// per task and served from the ProgramCache thereafter.
 //
-// Artifacts also carry the static verifier's report (computed once at
-// construction) so legality of a distinct program is proven exactly once per
-// task, however many times the search re-encounters it.
+// An artifact does not keep its lowered loop tree: the tree is most of a
+// build's heap and nothing reads it after construction. A consumer that
+// needs the tree (the measurer simulating a program, the core API printing
+// the best one) lowers the State it holds; lowering is a pure function of
+// the State, so that tree is the one the artifact was built from. The tree
+// and the schedule-expression derivation are freed on the building thread
+// before the constructor returns, never handed to another thread to free
+// (glibc frees a block another thread allocated under that thread's arena
+// lock; see src/evolution/evolution.h).
 //
-// Artifacts come in two flavors:
-//  * Cold (from a State): lowered, feature-extracted and verified eagerly at
-//    construction — the search's normal path.
+// Artifacts come in two flavors that hold the same fields:
+//  * Cold (from a State): lowered, feature-extracted, verified and
+//    summarized at construction — the search's normal path.
 //  * Warm (from a persisted snapshot, src/store/artifact_store.h): the
-//    signature, steps, features, and verdict summary are restored directly;
-//    the loop tree and full verifier report are re-derived lazily by
-//    replaying the steps on the DAG the first time a consumer actually needs
-//    them. Population scoring and static filtering — the bulk of a resumed
-//    run's traffic — read only features and verdicts, so a warm-started
-//    search recompiles nothing it has already seen. Laziness is invisible:
-//    every accessor returns exactly what the cold construction would have.
+//    signature, steps, features, and verdict summaries are restored
+//    directly; the full verifier report and the resource summary are
+//    re-derived lazily, by replaying the steps on the DAG and lowering once,
+//    the first time a consumer needs them. Population scoring and static
+//    filtering — the bulk of a resumed run's traffic — read only features
+//    and verdicts, so a warm-started search recompiles nothing it has
+//    already seen. Laziness is invisible: every accessor returns exactly
+//    what the cold construction would have.
 //
 // Artifacts are shared across threads, tasks and jobs, so their only state
 // after construction is what a pure function of the program fills in on
@@ -45,7 +52,6 @@
 #include "src/analysis/program_verifier.h"
 #include "src/features/feature_extraction.h"
 #include "src/ir/steps.h"
-#include "src/lower/loop_tree.h"
 #include "src/telemetry/trace.h"
 
 namespace ansor {
@@ -54,9 +60,10 @@ class ComputeDAG;
 
 class ProgramArtifact {
  public:
-  // Lowers the state and, on success, extracts its feature matrix. A state
-  // whose lowering fails still yields an artifact (ok() == false, empty
-  // features) so consumers have one code path.
+  // Lowers the state and, on success, extracts its feature matrix; then
+  // verifies it and summarizes its resources. A state whose lowering fails
+  // still yields an artifact (ok() == false, empty features) so consumers
+  // have one code path.
   explicit ProgramArtifact(const State& state);
   // As above with the StepSignature already computed (the ProgramCache hands
   // over the one it derived the cache key from). A non-null `tracer` records
@@ -65,9 +72,9 @@ class ProgramArtifact {
   ProgramArtifact(const State& state, std::string signature,
                   const Tracer* tracer = nullptr);
   // Warm restore from a persisted snapshot: everything a scoring/filtering
-  // consumer reads is handed over directly; lowering and the full verifier
-  // report are re-derived on first demand by replaying `steps` on `dag`.
-  // `resource_verdicts` seeds the per-machine memo with (fingerprint,
+  // consumer reads is handed over directly; the full verifier report and the
+  // resource summary are re-derived on first demand by replaying `steps` on
+  // `dag`. `resource_verdicts` seeds the per-machine memo with (fingerprint,
   // passed) summaries captured at snapshot time.
   ProgramArtifact(std::shared_ptr<const ComputeDAG> dag, std::vector<Step> steps,
                   std::string signature, FeatureMatrix features, bool lowering_ok,
@@ -77,7 +84,8 @@ class ProgramArtifact {
   ProgramArtifact(const ProgramArtifact&) = delete;
   ProgramArtifact& operator=(const ProgramArtifact&) = delete;
 
-  // Lowering validity: false means lowered().error holds the diagnostic.
+  // Lowering validity: false means the kLowering check of verifier_report()
+  // holds the lowering diagnostic.
   bool ok() const { return lowering_ok_; }
   // The state's StepSignature — the content address within one DAG.
   const std::string& signature() const { return signature_; }
@@ -85,10 +93,9 @@ class ProgramArtifact {
   // address (0 only for a default-constructed failed state with no DAG).
   uint64_t task_id() const { return task_id_; }
   // The program's step history (what a snapshot persists for lazy
-  // re-lowering; empty for failed states, whose history is normalized away).
+  // re-derivation; empty for failed states, whose history is normalized
+  // away).
   const std::vector<Step>& steps() const { return steps_; }
-  // The lowered loop tree. Materializes a warm artifact on first call.
-  const LoweredProgram& lowered() const;
   // Flat feature matrix, one row per innermost store statement (with its
   // owning stage name attached); empty when ok() is false.
   const FeatureMatrix& features() const { return features_; }
@@ -101,11 +108,11 @@ class ProgramArtifact {
   // the snapshot).
   const VerifierReport& verifier_report() const;
 
-  // Machine-dependent resource verdict, computed at most once per
-  // MachineModel fingerprint and artifact. Thread-safe; the returned
-  // snapshot is immutable. A fingerprint outside the memo materializes a
-  // warm artifact. A non-null `tracer` records the (uncached) consult as a
-  // "verify_resources" span; memo hits record nothing.
+  // Machine-dependent resource verdict, computed from the resource summary
+  // at most once per MachineModel fingerprint and artifact. Thread-safe; the
+  // returned snapshot is immutable. A fingerprint outside the memo
+  // materializes a warm artifact. A non-null `tracer` records the (uncached)
+  // consult as a "verify_resources" span; memo hits record nothing.
   std::shared_ptr<const CheckVerdict> resource_verdict(const MachineModel& machine,
                                                        const Tracer* tracer = nullptr) const;
 
@@ -121,15 +128,17 @@ class ProgramArtifact {
   // an ArtifactStore snapshot persists so a warm resume re-checks nothing.
   std::vector<std::pair<uint64_t, bool>> resource_verdict_summary() const;
 
-  // False only for a warm artifact that has not yet re-lowered (tests and
-  // the zero-rebuild warm-start accounting).
+  // False only for a warm artifact that has not yet re-derived its verifier
+  // report and resource summary (tests and the zero-rebuild warm-start
+  // accounting).
   bool materialized() const { return materialized_.load(std::memory_order_acquire); }
 
  private:
-  // Replays steps_ on dag_ and derives lowered_ + verifier_report_ (warm
-  // artifacts only; cold ones are born materialized). Idempotent and
-  // thread-safe; the result is a pure function of (dag, steps), so a warm
-  // artifact after materialization is bit-identical to a cold build.
+  // Replays steps_ on dag_ and derives verifier_report_ and
+  // resource_summary_ (warm artifacts only; cold ones are born
+  // materialized). Idempotent and thread-safe; the result is a pure function
+  // of (dag, steps), so a warm artifact after materialization is
+  // bit-identical to a cold build.
   void Materialize() const;
 
   std::string signature_;
@@ -142,8 +151,8 @@ class ProgramArtifact {
 
   mutable std::atomic<bool> materialized_{false};
   mutable std::mutex materialize_mu_;
-  mutable LoweredProgram lowered_;
   mutable VerifierReport verifier_report_;
+  mutable ResourceSummary resource_summary_;
 
   struct ResourceMemo {
     uint64_t machine_fingerprint = 0;

@@ -2,7 +2,7 @@
 //
 // The cache has a task lifetime: a TaskTuner owns one (unless an external
 // cache is injected through SearchOptions) and threads it through evolution,
-// measurement, training-feature extraction and the core API, so each
+// the pre-measurement static filter and training-feature extraction, so each
 // distinct program is lowered and feature-extracted once per task however
 // many consumers touch it. Entries are keyed by "<DAG canonical hash>|<step
 // signature>", so a cache may safely be shared across tasks (the cross-task

@@ -138,8 +138,7 @@ PlannedRound TaskTuner::PlanRound(int num_measures) {
 
 PendingMeasureBatch TaskTuner::SubmitPlannedRound(const PlannedRound& round,
                                                   ThreadPool* pool) {
-  return measurer_->SubmitBatch(round.to_measure, cache_, options_.cache_client_id,
-                                pool != nullptr ? pool : options_.thread_pool,
+  return measurer_->SubmitBatch(round.to_measure, pool != nullptr ? pool : options_.thread_pool,
                                 tracer_.enabled() ? &tracer_ : nullptr);
 }
 

@@ -83,8 +83,8 @@ struct SearchOptions {
   // Results are invariant to the pool size (see the determinism tests).
   ThreadPool* thread_pool = nullptr;
   // Compiled-program cache shared by every consumer of a tuning round
-  // (evolution scoring, crossover, measurement, training-feature
-  // extraction). nullptr = the tuner creates its own task-lifetime cache
+  // (evolution scoring, crossover, the pre-measurement filter,
+  // training-feature extraction). nullptr = the tuner creates its own task-lifetime cache
   // with program_cache_capacity entries; inject one to observe its counters
   // or to share artifacts across tasks. Results are invariant to the cache
   // and its capacity (see the determinism tests).
@@ -93,8 +93,7 @@ struct SearchOptions {
   // caching entirely (every consumer compiles from scratch, as before PR 3).
   size_t program_cache_capacity = ProgramCache::kDefaultCapacity;
   // Consumer id tagged onto every program-cache lookup this tuner makes
-  // (evolution scoring, pre-measurement filter, measurement, training
-  // features) so a cache shared across tasks can attribute cross-task reuse
+  // (evolution scoring, pre-measurement filter, training features) so a cache shared across tasks can attribute cross-task reuse
   // exactly (ProgramCache::ClientStats). 0 = anonymous. The TuningService
   // assigns each (job, task) a distinct id. Counters only; search results
   // are identical for any id.
@@ -182,8 +181,8 @@ class TaskTuner {
   // exploration, deduplicated against already-measured programs, statically
   // filtered). Consumes the tuner RNG exactly as the same phase of TuneRound.
   PlannedRound PlanRound(int num_measures);
-  // Enqueues the round's candidates for asynchronous measurement through the
-  // task's program cache: on the measurer's device pool when it has one, else
+  // Enqueues the round's candidates for asynchronous measurement: on the
+  // measurer's device pool when it has one, else
   // on `pool` (nullptr = SearchOptions::thread_pool). Empty rounds return a
   // completed handle.
   PendingMeasureBatch SubmitPlannedRound(const PlannedRound& round,

@@ -2,13 +2,13 @@
 // layer.
 //
 // A tuning run's ProgramCache holds everything expensive the run derived —
-// lowered programs' feature matrices, legality flags, per-machine resource
+// compiled programs' feature matrices, legality flags, per-machine resource
 // verdicts — keyed by (task, step signature). An ArtifactStore captures that
 // cache into serializable ArtifactSnapshots and restores it later, so a
 // resumed (or fleet warm-started) run rebuilds nothing it has already seen:
 // WarmCache installs lazy artifacts (src/program/program_artifact.h) that
 // serve population scoring and static filtering straight from the snapshot
-// and only re-lower on genuine demand.
+// and only re-lower when a consumer asks for something the snapshot lacks.
 //
 // The on-disk container mirrors the record store's: an interned string
 // table, length-prefixed snapshot bodies (a corrupted snapshot is skipped
@@ -99,7 +99,8 @@ class ArtifactStore {
 
   // Installs a warm (lazy) ProgramArtifact into `cache` for every stored
   // snapshot whose task_id matches dag->CanonicalHash(). The artifacts serve
-  // features and legality immediately and re-lower only on demand, so a
+  // features and legality immediately and re-lower only on demand (a full
+  // verifier report, or a machine outside the verdict summary), so a
   // search that only re-encounters snapshot programs reports zero cache
   // misses. Returns the number of artifacts inserted (collisions with
   // already-resident entries are skipped).

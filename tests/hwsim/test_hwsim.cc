@@ -309,7 +309,7 @@ TEST(Measurer, CancelledTrialsAreNotCharged) {
   ComputeDAG dag = testing::Matmul(16, 16, 16);
   std::vector<State> states(4, State(&dag));
   PendingMeasureBatch pending =
-      measurer.SubmitBatch(states, /*cache=*/nullptr, /*cache_client_id=*/0, &pool);
+      measurer.SubmitBatch(states, &pool);
   pending.Cancel();
   std::vector<MeasureResult> results = pending.Wait();
   ASSERT_EQ(results.size(), 4u);

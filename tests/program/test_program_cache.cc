@@ -269,7 +269,8 @@ TEST(ProgramCacheDeterminism, TuneTaskThreadAndCapacityMatrix) {
 
 TEST(ProgramCacheIntegration, TuneRoundReusesArtifactsAcrossConsumers) {
   // One round compiles each candidate at most once across evolution scoring,
-  // measurement and training-feature extraction — so cache hits must appear,
+  // the pre-measurement filter and training-feature extraction — so cache
+  // hits must appear,
   // and a second round seeded with the best measured programs must hit on
   // artifacts compiled in round one.
   Measurer measurer(MachineModel::IntelCpu20Core());

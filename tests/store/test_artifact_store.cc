@@ -2,12 +2,19 @@
 // and the zero-rebuild warm-start determinism contract.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <set>
 
 #include "src/costmodel/cost_model.h"
 #include "src/hwsim/measurer.h"
+#include "src/lower/loop_tree.h"
+#include "src/sampler/annotation.h"
+#include "src/sketch/sketch.h"
 #include "src/store/artifact_store.h"
 #include "src/store/bytes.h"
+#include "src/support/thread_pool.h"
+#include "src/workloads/operators.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -115,7 +122,7 @@ TEST(ArtifactStoreTest, LazyMaterializationMatchesColdBuild) {
   EXPECT_EQ(warm->statically_legal(), cold->statically_legal());
   ASSERT_FALSE(warm->materialized());
   // ...and on-demand materialization reproduces the cold build exactly.
-  EXPECT_EQ(warm->lowered().ToString(), cold->lowered().ToString());
+  EXPECT_EQ(warm->verifier_report().ToString(), cold->verifier_report().ToString());
   EXPECT_TRUE(warm->materialized());
   EXPECT_EQ(warm->verifier_report().legal(), cold->verifier_report().legal());
 }
@@ -135,6 +142,178 @@ TEST(ArtifactStoreTest, ResourceVerdictsRestoreWithoutMaterializing) {
   ProgramArtifactPtr warm = warm_cache.GetOrBuild(state);
   EXPECT_EQ(!warm->resource_verdict(machine)->failed(), cold_passed);
   EXPECT_FALSE(warm->materialized()) << "memoized verdict must not re-lower";
+}
+
+// The programs of the LowerGolden corpus (tests/lower/test_lower.cc): 12
+// fixed-seed sampled programs of each of four DAGs, on CPU and on GPU.
+std::vector<State> LowerGoldenCorpus(
+    const std::vector<std::shared_ptr<const ComputeDAG>>& dags) {
+  std::vector<State> programs;
+  for (bool gpu : {false, true}) {
+    SamplerOptions options;
+    options.gpu = gpu;
+    for (size_t d = 0; d < dags.size(); ++d) {
+      std::vector<State> sketches = GenerateSketches(dags[d].get());
+      Rng rng(2000 + d + (gpu ? 100 : 0));
+      int kept = 0;
+      for (int attempt = 0; attempt < 400 && kept < 12; ++attempt) {
+        State program = SampleCompleteProgram(sketches[rng.Index(sketches.size())],
+                                              dags[d].get(), &rng, options);
+        if (!program.failed()) {
+          programs.push_back(std::move(program));
+          ++kept;
+        }
+      }
+    }
+  }
+  return programs;
+}
+
+// An artifact checks resources against the summary it keeps in place of its
+// loop tree. For every machine preset, plus a narrow model on which every
+// kind of violation fires, a cold artifact's and a store-restored warm
+// artifact's resource_verdict must equal VerifyResources on a fresh lowering:
+// the verdict and every diagnostic, in order. Besides the LowerGolden corpus
+// the programs include a C1D l256c64k3 state whose vectorized pad loop has
+// extent 258, over both CPUs' register budgets: the violation the vendor
+// baseline's expert annotation makes on that workload.
+TEST(ArtifactStoreTest, ResourceVerdictsMatchVerifyResourcesOnLowerGoldenCorpus) {
+  std::vector<std::shared_ptr<const ComputeDAG>> dags = {
+      std::make_shared<const ComputeDAG>(testing::MatmulRelu(64, 64, 64)),
+      std::make_shared<const ComputeDAG>(MakeConv2d(1, 16, 14, 14, 32, 3, 3, 1, 1)),
+      std::make_shared<const ComputeDAG>(testing::ReluPadMatmul(16, 8, 64, 48)),
+      std::make_shared<const ComputeDAG>(MakeNorm(4, 1024))};
+  std::vector<State> programs = LowerGoldenCorpus(dags);
+  ASSERT_EQ(programs.size(), 96u);
+  dags.push_back(std::make_shared<const ComputeDAG>(MakeConv1d(1, 64, 256, 64, 3, 1, 1)));
+  State expert(dags.back().get());
+  const int pad_iters = static_cast<int>(expert.stage(expert.StageIndex("pad")).iters.size());
+  ASSERT_TRUE(expert.Annotate("pad", pad_iters - 1, IterAnnotation::kVectorize));
+  programs.push_back(expert);
+
+  MachineModel narrow = MachineModel::NvidiaGpu();
+  narrow.name = "narrow";
+  narrow.memory_capacity_bytes = 32 * 1024;
+  narrow.max_vector_extent = 4;
+  narrow.max_threads_per_core = 32;
+  const std::vector<MachineModel> machines = {MachineModel::IntelCpu20Core(),
+                                              MachineModel::ArmCpu4Core(),
+                                              MachineModel::NvidiaGpu(), narrow};
+
+  // The store captures the cold cache before any resource verdict exists, so
+  // every warm verdict below is re-derived, not restored.
+  ProgramCache cold_cache(1024, 1);
+  for (const State& s : programs) {
+    cold_cache.GetOrBuild(s);
+  }
+  ArtifactStore store;
+  store.CaptureCache(cold_cache, "");
+  ProgramCache warm_cache(1024, 1);
+  for (const auto& dag : dags) {
+    store.WarmCache(&warm_cache, dag);
+  }
+
+  std::set<std::string> failed_on;
+  std::set<std::string> narrow_violations;
+  for (const State& s : programs) {
+    const LoweredProgram lowered = Lower(s);
+    ProgramArtifactPtr cold = cold_cache.GetOrBuild(s);
+    ProgramArtifactPtr warm = warm_cache.GetOrBuild(s);
+    ASSERT_NE(cold.get(), warm.get());
+    for (const MachineModel& machine : machines) {
+      const CheckVerdict expected = VerifyResources(lowered, machine);
+      for (const ProgramArtifactPtr& artifact : {cold, warm}) {
+        std::shared_ptr<const CheckVerdict> got = artifact->resource_verdict(machine);
+        EXPECT_EQ(got->verdict, expected.verdict) << machine.name << "\n" << StepSignature(s);
+        EXPECT_EQ(got->diagnostics, expected.diagnostics) << machine.name;
+      }
+      if (expected.failed()) {
+        failed_on.insert(machine.name);
+      }
+      if (machine.name == narrow.name) {
+        for (const std::string& diagnostic : expected.diagnostics) {
+          for (const char* kind : {"buffer footprint", "vectorized loop", "thread-bound loop"}) {
+            if (diagnostic.find(kind) != std::string::npos) {
+              narrow_violations.insert(kind);
+            }
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(warm->materialized());
+  }
+  const CheckVerdict c1d = VerifyResources(Lower(expert), MachineModel::IntelCpu20Core());
+  ASSERT_EQ(c1d.diagnostics.size(), 1u);
+  EXPECT_NE(c1d.diagnostics[0].find("vectorized loop extent 258"), std::string::npos)
+      << c1d.diagnostics[0];
+  EXPECT_EQ(failed_on, (std::set<std::string>{MachineModel::IntelCpu20Core().name,
+                                              MachineModel::ArmCpu4Core().name, "narrow"}));
+  EXPECT_EQ(narrow_violations.size(), 3u) << "each kind of resource violation must fire";
+}
+
+// Four pool threads read legality at once from shared cold and warm
+// artifacts: statically_legal(&machine) races on the resource memo and, on a
+// warm artifact, on the materialization that derives the summary it checks;
+// verifier_report() races on the same materialization. Every thread must see
+// what a serial build computes.
+TEST(ArtifactStoreTest, ConcurrentLegalityReadsOnSharedColdAndWarmArtifacts) {
+  auto dag = SharedMatmul();
+  std::vector<State> programs = SamplePrograms(dag.get());
+  ProgramCache cold_cache(64, 1);
+  std::vector<ProgramArtifactPtr> shared;
+  for (const State& s : programs) {
+    shared.push_back(cold_cache.GetOrBuild(s));
+  }
+  ArtifactStore store;
+  store.CaptureCache(cold_cache, "");
+  ProgramCache warm_cache(64, 1);
+  ASSERT_EQ(store.WarmCache(&warm_cache, dag), programs.size());
+  for (const State& s : programs) {
+    shared.push_back(warm_cache.GetOrBuild(s));
+    ASSERT_FALSE(shared.back()->materialized());
+  }
+  MachineModel tiny = MachineModel::IntelCpu20Core();
+  tiny.name = "tiny";
+  tiny.memory_capacity_bytes = 1024;  // no 16x16 matmul fits
+  const std::vector<MachineModel> machines = {MachineModel::IntelCpu20Core(), tiny};
+  auto describe = [&machines](const ProgramArtifact& a) {
+    std::string entry = a.signature();
+    for (const MachineModel& machine : machines) {
+      entry += a.statically_legal(&machine) ? " legal" : " illegal";
+    }
+    return entry + "\n" + a.verifier_report().ToString();
+  };
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> seen(kThreads,
+                                             std::vector<std::string>(shared.size()));
+  std::atomic<size_t> arrived{0};
+  {
+    // One task per worker; each spins until all four run, so the first reads
+    // of every artifact overlap. The pool's destructor joins them.
+    ThreadPool pool(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      pool.Enqueue([&, t] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) {
+        }
+        for (size_t i = 0; i < shared.size(); ++i) {
+          const size_t k = (i + t) % shared.size();
+          seen[t][k] = describe(*shared[k]);
+        }
+      });
+    }
+  }
+  std::vector<std::string> expected;
+  for (size_t k = 0; k < shared.size(); ++k) {
+    expected.push_back(describe(ProgramArtifact(programs[k % programs.size()])));
+  }
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], expected) << "thread " << t;
+  }
+  for (const ProgramArtifactPtr& a : shared) {
+    EXPECT_TRUE(a->materialized());
+  }
 }
 
 TEST(ArtifactStoreTest, FileRoundTripAndMissingFile) {
