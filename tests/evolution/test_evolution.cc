@@ -253,10 +253,11 @@ TEST(Evolution, UnlowerableStatesGetNoSelectionWeight) {
 
 TEST(Evolution, EvolveDeterministicAcrossThreadCounts) {
   // Same seed => bit-identical populations and stats whether child generation
-  // runs on one thread or four (per-slot forked RNG streams).
+  // runs on one, three or four threads (per-slot forked RNG streams).
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   auto init = InitPopulation(&dag, 8, 25);
   ThreadPool pool1(1);
+  ThreadPool pool3(3);
   ThreadPool pool4(4);
 
   auto run = [&](ThreadPool* pool) {
@@ -275,13 +276,16 @@ TEST(Evolution, EvolveDeterministicAcrossThreadCounts) {
   };
 
   auto [sigs1, stats1] = run(&pool1);
-  auto [sigs4, stats4] = run(&pool4);
-  EXPECT_EQ(sigs1, sigs4);
   EXPECT_GT(stats1.children_generated, 0);
-  EXPECT_EQ(stats1.children_generated, stats4.children_generated);
-  EXPECT_EQ(stats1.child_attempts, stats4.child_attempts);
-  EXPECT_EQ(stats1.crossover_score_hits, stats4.crossover_score_hits);
-  EXPECT_EQ(stats1.crossover_score_misses, stats4.crossover_score_misses);
+  for (ThreadPool* pool : {&pool3, &pool4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << pool->num_threads());
+    auto [sigs, stats] = run(pool);
+    EXPECT_EQ(sigs, sigs1);
+    EXPECT_EQ(stats.children_generated, stats1.children_generated);
+    EXPECT_EQ(stats.child_attempts, stats1.child_attempts);
+    EXPECT_EQ(stats.crossover_score_hits, stats1.crossover_score_hits);
+    EXPECT_EQ(stats.crossover_score_misses, stats1.crossover_score_misses);
+  }
 }
 
 // Forwards to a RandomCostModel and records every program that reaches
@@ -529,6 +533,60 @@ TEST(Evolution, EvolveIsBitExactGolden) {
     ExpectEvolveGolden(
         &dag, [] { return std::make_unique<RandomCostModel>(11); }, init, options, 36, 4,
         {4, 2011894952983832525ull, 56, 32, 0, 3, 5, 70, 0});
+  }
+}
+
+struct EvolveCallGolden {
+  uint64_t digest;  // DigestStates of the call's result
+  int64_t child_attempts;
+  int64_t children_generated;
+  int64_t statically_rejected;
+  int64_t crossover_score_hits;
+  int64_t crossover_score_misses;
+};
+
+TEST(Evolution, ConsecutiveEvolveCallsAreBitExactGolden) {
+  // Two Evolve calls on one search: the second starts from the RNG state the
+  // first left behind, so this pins how each wave hands its slots their
+  // streams, not only the first call's draws. Crossover and mutation are
+  // equally likely, so both kinds of slot run in every wave.
+  ComputeDAG dag = MakeConv2d(1, 4, 6, 6, 8, 3, 3, 1, 1);
+  SamplerOptions sampler;
+  sampler.gpu = true;
+  Rng rng(37);
+  std::vector<State> init = SampleLowerablePopulation(&dag, 8, &rng, sampler);
+  ASSERT_EQ(init.size(), 8u);
+  const EvolveCallGolden golden[2] = {
+      {2872862920382551508ull, 57, 32, 0, 7, 11},
+      {2218945937293103726ull, 42, 32, 0, 13, 9},
+  };
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    ProgramCache cache;
+    RandomCostModel model(13);
+    EvolutionOptions options;
+    options.population = 16;
+    options.generations = 2;
+    options.crossover_probability = 0.5;
+    options.sampler = sampler;
+    options.thread_pool = &pool;
+    options.program_cache = &cache;
+    EvolutionarySearch es(&dag, &model, Rng(38), options);
+    std::vector<State> population = init;
+    for (int call = 0; call < 2; ++call) {
+      SCOPED_TRACE(::testing::Message() << "call=" << call);
+      std::vector<State> best = es.Evolve(population, 6);
+      const EvolutionStats& st = es.stats();
+      const EvolveCallGolden& g = golden[call];
+      EXPECT_EQ(DigestStates(best), g.digest);
+      EXPECT_EQ(st.child_attempts, g.child_attempts);
+      EXPECT_EQ(st.children_generated, g.children_generated);
+      EXPECT_EQ(st.statically_rejected, g.statically_rejected);
+      EXPECT_EQ(st.crossover_score_hits, g.crossover_score_hits);
+      EXPECT_EQ(st.crossover_score_misses, g.crossover_score_misses);
+      population.insert(population.end(), best.begin(), best.end());
+    }
   }
 }
 
