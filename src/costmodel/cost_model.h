@@ -79,15 +79,17 @@ class CostModel {
   // Per-statement scores for one program (used by node-based crossover to
   // score the rewriting steps of individual DAG nodes). Implementations must
   // be pure functions of (rows, model state): EvolutionarySearch::Evolve
-  // memoizes the result per ProgramArtifact for the length of one call, so a
-  // hidden per-call state (e.g. a shared RNG stream) would make search
-  // results depend on how many lookups the ProgramCache serves from one
-  // artifact, i.e. on its capacity.
+  // memoizes the result per ProgramArtifact for the length of one call and
+  // its pool workers call it concurrently, in an order set by thread timing,
+  // so a hidden per-call state (e.g. a shared RNG stream) would make search
+  // results depend on the thread count and on how many lookups the
+  // ProgramCache serves from one artifact, i.e. on its capacity.
   virtual std::vector<double> PredictStatements(const FeatureMatrix& rows) = 0;
 
-  // Batched form of PredictStatements: scores several programs in one call
-  // (evolutionary search batches all crossover-parent scoring of a wave).
-  // Entries are non-null; a program with no rows (failed lowering) yields an
+  // Batched form of PredictStatements: scores several programs in one call.
+  // Evolve does not batch (each crossover parent is scored by the pool
+  // worker that first needs it), so no search path calls this. Entries are
+  // non-null; a program with no rows (failed lowering) yields an
   // empty score vector. The default implementation loops PredictStatements.
   virtual std::vector<std::vector<double>> PredictStatementsBatch(
       const std::vector<const FeatureMatrix*>& programs);

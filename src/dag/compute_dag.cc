@@ -157,6 +157,49 @@ ComputeDAG::ComputeDAG(const std::vector<Tensor>& tensors) {
     }
   }
   canonical_hash_ = ComputeCanonicalHash(ops_);
+
+  cache_writes_.resize(ops_.size());
+  inlined_consumers_.resize(ops_.size());
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    const Operation& op = *ops_[i];
+    if (op.kind != OpKind::kCompute) {
+      continue;
+    }
+    cache_writes_[i] = MakeCacheWriteOps(op);
+    if (HasReduce(op.body)) {
+      continue;
+    }
+    for (int consumer : consumers_[i]) {
+      inlined_consumers_[i].push_back(InlineProducer(op, ops_[static_cast<size_t>(consumer)]));
+    }
+  }
+}
+
+const CacheWriteOps* ComputeDAG::SharedCacheWrite(const OperationRef& op) const {
+  int index = OpIndexOf(op->name());
+  if (index < 0 || ops_[static_cast<size_t>(index)] != op) {
+    return nullptr;
+  }
+  const CacheWriteOps& ops = cache_writes_[static_cast<size_t>(index)];
+  return ops.cache != nullptr ? &ops : nullptr;
+}
+
+const OperationRef* ComputeDAG::SharedInline(const OperationRef& producer,
+                                             const OperationRef& consumer) const {
+  int p = OpIndexOf(producer->name());
+  int c = OpIndexOf(consumer->name());
+  if (p < 0 || c < 0 || ops_[static_cast<size_t>(p)] != producer ||
+      ops_[static_cast<size_t>(c)] != consumer) {
+    return nullptr;
+  }
+  const std::vector<int>& consumers = consumers_[static_cast<size_t>(p)];
+  const std::vector<OperationRef>& inlined = inlined_consumers_[static_cast<size_t>(p)];
+  for (size_t k = 0; k < inlined.size(); ++k) {
+    if (consumers[k] == c) {
+      return &inlined[k];
+    }
+  }
+  return nullptr;
 }
 
 int ComputeDAG::OpIndexOf(const std::string& buffer_name) const {

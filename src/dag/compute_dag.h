@@ -10,6 +10,14 @@
 // steps that add stages or inline bodies rewrite a State's own op list, never
 // the DAG's). So the canonical hash is computed once, in the constructor, and
 // CanonicalHash() is a field read; copies carry the same value.
+//
+// The constructor also precomputes the rewrites that schedule steps apply to
+// the DAG's own ops: each compute op's cache_write pair and, for each
+// non-reduction producer, each consumer with that producer inlined. They are
+// immutable ops shared by every State that applies the step to an op the DAG
+// still owns, so replaying a step list does not rebuild their expression
+// trees, and any number of threads may read them without a lock. A step on an
+// op a State has already rewritten builds its own result (State::Apply*).
 #ifndef ANSOR_SRC_DAG_COMPUTE_DAG_H_
 #define ANSOR_SRC_DAG_COMPUTE_DAG_H_
 
@@ -65,6 +73,15 @@ class ComputeDAG {
 
   std::string ToString() const;
 
+  // The precomputed cache_write pair of `op` when `op` is this DAG's own
+  // compute op; nullptr otherwise (MakeCacheWriteOps builds one).
+  const CacheWriteOps* SharedCacheWrite(const OperationRef& op) const;
+  // `consumer` with `producer` inlined when both are this DAG's own ops and
+  // `producer` is a non-reduction producer of `consumer`; nullptr otherwise
+  // (InlineProducer builds one).
+  const OperationRef* SharedInline(const OperationRef& producer,
+                                   const OperationRef& consumer) const;
+
  private:
   // The hash of an op-free DAG: what a default-constructed DAG reports.
   static constexpr uint64_t kEmptyCanonicalHash = 0xabcdef123456ULL;
@@ -73,6 +90,11 @@ class ComputeDAG {
   std::vector<OperationRef> ops_;
   std::unordered_map<std::string, int> op_index_;
   std::vector<std::vector<int>> consumers_;
+  // Per op: its cache_write pair (empty for placeholders).
+  std::vector<CacheWriteOps> cache_writes_;
+  // Per op, aligned with consumers_: each consumer with the op inlined (empty
+  // for placeholders and reductions).
+  std::vector<std::vector<OperationRef>> inlined_consumers_;
   uint64_t canonical_hash_ = kEmptyCanonicalHash;
 };
 

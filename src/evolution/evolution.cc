@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -425,43 +426,32 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
 
   // Crossover parent scores for this call, keyed by artifact identity. Each
   // entry holds its artifact, so no key address is reused while the call
-  // runs. Entries are created on the calling thread while slots are planned
-  // and scored before the wave that reads them, so pool workers only read.
+  // runs. The calling thread creates the entries of every admissible member
+  // before a generation's waves, so pool workers never insert: the first
+  // worker that needs an entry's scores computes them under its once-flag,
+  // and the others wait for them. `requested` is the calling thread's own:
+  // it counts hits and misses in slot order after each wave.
   struct ParentScores {
     ProgramArtifactPtr artifact;
+    std::once_flag once;
     StageScores scores;
+    bool requested = false;
   };
   std::unordered_map<const ProgramArtifact*, ParentScores> parent_scores;
-  std::vector<ParentScores*> unscored;
-  // The scores of `artifact`, filled in by the next score_parents() if this
-  // call has not requested it before.
-  auto request_scores = [&](const ProgramArtifactPtr& artifact) {
-    auto [it, inserted] = parent_scores.try_emplace(artifact.get());
-    if (inserted) {
-      ++stats_.crossover_score_misses;
-      it->second.artifact = artifact;
-      unscored.push_back(&it->second);
-    } else {
-      ++stats_.crossover_score_hits;
-    }
-    return &it->second.scores;
+  auto scores_of = [&](ParentScores* entry) -> const StageScores& {
+    std::call_once(entry->once, [&] {
+      AccumulateStageScores(model_->PredictStatements(entry->artifact->features()),
+                            entry->artifact->row_stages(), &entry->scores);
+    });
+    return entry->scores;
   };
-  // Scores every requested-but-unscored parent with one batched model call.
-  auto score_parents = [&] {
-    if (unscored.empty()) {
-      return;
+  auto count_request = [&](ParentScores* entry) {
+    if (entry->requested) {
+      ++stats_.crossover_score_hits;
+    } else {
+      entry->requested = true;
+      ++stats_.crossover_score_misses;
     }
-    std::vector<const FeatureMatrix*> programs;
-    programs.reserve(unscored.size());
-    for (const ParentScores* entry : unscored) {
-      programs.push_back(&entry->artifact->features());
-    }
-    std::vector<std::vector<double>> preds = model_->PredictStatementsBatch(programs);
-    for (size_t p = 0; p < unscored.size(); ++p) {
-      AccumulateStageScores(preds[p], unscored[p]->artifact->row_stages(),
-                            &unscored[p]->scores);
-    }
-    unscored.clear();
   };
 
   for (int gen = 0; gen <= options_.generations; ++gen) {
@@ -543,24 +533,31 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       break;
     }
     std::vector<double> weights(pop, 0.0);
+    // Memo entries of this generation's possible parents, by member index.
+    std::vector<ParentScores*> member_scores(pop, nullptr);
     for (size_t i = 0; i < pop; ++i) {
       if (admissible[i]) {
         weights[i] = scores[i] - min_score + 1e-3;
+        auto [it, inserted] = parent_scores.try_emplace(artifacts[i].get());
+        if (inserted) {
+          it->second.artifact = artifacts[i];
+        }
+        member_scores[i] = &it->second;
       }
     }
+    const bool can_cross = n_valid >= 2;
 
-    // Stage 2 (parallel waves): generate children on the pool. Slots are
-    // planned serially — each forks its own RNG stream and draws its
-    // operator and parents — so the result is independent of thread count;
-    // workers then run the replay-heavy operators concurrently.
+    // Stage 2 (parallel waves): generate children on the pool. The calling
+    // thread only draws each slot's seed from rng_ (the draw Rng::Fork makes);
+    // the worker seeds the slot's stream from it, plans the slot (operator
+    // coin, parent draws, skeleton check) and runs the operator, so the result
+    // is independent of thread count.
     struct Slot {
-      Rng rng;
+      uint64_t seed = 0;
       bool crossover = false;
-      bool dead = false;  // skeleton mismatch: fails without dispatching
+      bool dead = false;  // skeleton mismatch: fails without an operator
       size_t pa = 0;
       size_t pb = 0;
-      const StageScores* score_a = nullptr;  // crossover parents' scores
-      const StageScores* score_b = nullptr;
     };
     std::vector<StatePtr> next;
     next.reserve(static_cast<size_t>(options_.population));
@@ -571,27 +568,9 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       size_t wave =
           std::min<size_t>(static_cast<size_t>(options_.population) - next.size(),
                            static_cast<size_t>(max_attempts - attempts));
-      // Each slot is built from its fork: a default-built slot would seed an
-      // mt19937_64 only to overwrite it.
-      std::vector<Slot> slots;
-      slots.reserve(wave);
-      for (size_t s = 0; s < wave; ++s) {
-        Slot& slot = slots.emplace_back(Slot{rng_.Fork()});
-        slot.crossover =
-            slot.rng.Uniform() < options_.crossover_probability && n_valid >= 2;
-        slot.pa = slot.rng.WeightedIndex(weights);
-        if (slot.crossover) {
-          slot.pb = slot.rng.WeightedIndex(weights);
-          slot.dead = !SkeletonsMatch(*population[slot.pa], *population[slot.pb]);
-          if (!slot.dead) {
-            slot.score_a = request_scores(artifacts[slot.pa]);
-            slot.score_b = request_scores(artifacts[slot.pb]);
-          }
-        }
-      }
-      {
-        TraceSpan flush(gen_ptr, "model_predict", "costmodel");
-        score_parents();
+      std::vector<Slot> slots(wave);
+      for (Slot& slot : slots) {
+        slot.seed = rng_.engine()();
       }
       // A null handle marks a discarded slot (dead or failed child).
       std::vector<StatePtr> children(wave);
@@ -603,13 +582,21 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       std::vector<std::string> wave_diag(wave);
       pool.ParallelFor(wave, [&](size_t s) {
         Slot& slot = slots[s];
-        if (slot.dead) {
-          return;
+        Rng rng(slot.seed);
+        slot.crossover = rng.Uniform() < options_.crossover_probability && can_cross;
+        slot.pa = rng.WeightedIndex(weights);
+        if (slot.crossover) {
+          slot.pb = rng.WeightedIndex(weights);
+          slot.dead = !SkeletonsMatch(*population[slot.pa], *population[slot.pb]);
+          if (slot.dead) {
+            return;
+          }
         }
         State child = slot.crossover
                           ? Crossover(*population[slot.pa], *population[slot.pb],
-                                      *slot.score_a, *slot.score_b, &slot.rng)
-                          : RandomMutation(*population[slot.pa], &slot.rng);
+                                      scores_of(member_scores[slot.pa]),
+                                      scores_of(member_scores[slot.pb]), &rng)
+                          : RandomMutation(*population[slot.pa], &rng);
         if (child.failed()) {
           return;
         }
@@ -628,6 +615,11 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       for (size_t s = 0; s < wave; ++s) {
         ++attempts;
         ++stats_.child_attempts;
+        const Slot& slot = slots[s];
+        if (slot.crossover && !slot.dead) {
+          count_request(member_scores[slot.pa]);
+          count_request(member_scores[slot.pb]);
+        }
         if (wave_rejected[s]) {
           ++stats_.statically_rejected;
           if (!wave_diag[s].empty()) {

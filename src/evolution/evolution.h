@@ -27,25 +27,35 @@
 //      their artifacts' ProgramArtifact::signature() (the StepSignature the
 //      cache derived its key from), so the calling thread neither copies nor
 //      re-signs a State to keep or trim it;
-//   3. child generation runs on a thread pool in waves, each slot drawing
-//      from its own deterministically forked RNG stream, so results are
-//      bit-identical across thread counts for a fixed seed;
+//   3. child generation runs on a thread pool in waves. The calling thread
+//      draws one seed per slot from the search's RNG (the draw Rng::Fork
+//      makes); the worker seeds the slot's stream from it, then draws the
+//      operator, the parents and checks skeletons itself before running the
+//      operator, so results are bit-identical across thread counts for a
+//      fixed seed;
 //   4. crossover reads per-stage parent scores from a memo private to the
-//      Evolve call, keyed by artifact identity: each wave's new parents are
-//      scored with one batched PredictStatementsBatch call, so an artifact
-//      is scored at most once per call whatever the generation or wave that
-//      needs it again. The memo holds each artifact it keys (no address is
-//      reused while the call runs) and dies with the call: the tuner
-//      retrains its model between two Evolve calls of a task, so scores
-//      kept longer would never be read again.
-// What stays serial on the calling thread: slot planning (RNG forks, parent
-// draws, skeleton checks), the batched model calls, admitting children and
-// sorting the best set, and destroying a retired generation. A State is
-// plain schedule data (iterators, relation records, the step list; no
-// expression trees), so destroying one frees a few dozen blocks. Releasing
-// retired generations on the pool instead was measured slower: glibc frees a
-// block another thread allocated under that thread's arena lock, and the
-// workers contend on it.
+//      Evolve call, keyed by artifact identity, so an artifact is scored at
+//      most once per call whatever the generation or wave that needs it
+//      again. Threading contract: before a generation's waves the calling
+//      thread creates the entry of every admissible member (workers never
+//      insert); the first worker that needs an entry's scores computes them
+//      with one PredictStatements call under the entry's once-flag, and any
+//      other worker that needs them waits on that flag (concurrent Predict*
+//      calls are allowed, see cost_model.h). After each wave the calling
+//      thread counts the wave's requests as hits and misses in slot order.
+//      The memo holds each artifact it keys (no address is reused while the
+//      call runs) and dies with the call: the tuner retrains its model
+//      between two Evolve calls of a task, so scores kept longer would never
+//      be read again.
+// What stays serial on the calling thread: drawing the slot seeds, the
+// batched population PredictBatch, admitting children and sorting the best
+// set, and destroying a retired generation. A State is plain schedule data
+// (iterators, relation records, the step list; most of its ops are the
+// DAG's own or its shared rewrites), so destroying one frees a few dozen
+// blocks. Releasing retired
+// generations on the pool instead was measured slower: glibc frees a block
+// another thread allocated under that thread's arena lock, and the workers
+// contend on it.
 //
 // State lifetime inside Evolve. The population, each wave's children and
 // the best set hold std::shared_ptr<const State> handles, never State

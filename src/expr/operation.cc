@@ -1,5 +1,6 @@
 #include "src/expr/operation.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 namespace ansor {
@@ -71,6 +72,49 @@ Tensor MakeComputeOp(const std::string& name, std::vector<int64_t> shape,
   op->axis = std::move(axis);
   op->body = std::move(body);
   return Tensor(op, buffer);
+}
+
+CacheWriteOps MakeCacheWriteOps(const Operation& op) {
+  CHECK(op.kind == OpKind::kCompute);
+  std::vector<Expr> cache_axis;
+  std::unordered_map<int64_t, Expr> bindings;
+  for (const Expr& axis : op.axis) {
+    Expr v = MakeVar(axis->var_name, axis->var_extent);
+    bindings[axis->var_id] = v;
+    cache_axis.push_back(std::move(v));
+  }
+  Expr cache_body = Substitute(op.body, [&](const ExprNode& var) {
+    auto it = bindings.find(var.var_id);
+    return it == bindings.end() ? Expr() : it->second;
+  });
+  Tensor cache = MakeComputeOp(op.name() + ".cache", op.output->shape, std::move(cache_axis),
+                               std::move(cache_body));
+  auto consumer = std::make_shared<Operation>(op);
+  consumer->body = Load(cache.buffer(), std::vector<Expr>(op.axis.begin(), op.axis.end()));
+  return {cache.op(), std::move(consumer)};
+}
+
+OperationRef InlineProducer(const Operation& producer, const OperationRef& consumer) {
+  const std::string& buffer_name = producer.name();
+  Expr new_body = Rewrite(consumer->body, [&](const ExprNode& load) -> Expr {
+    if (load.kind != ExprKind::kLoad || load.buffer->name != buffer_name) {
+      return Expr();
+    }
+    std::unordered_map<int64_t, Expr> bindings;
+    for (size_t d = 0; d < producer.axis.size(); ++d) {
+      bindings[producer.axis[d]->var_id] = load.operands[d];
+    }
+    return Substitute(producer.body, [&](const ExprNode& var) {
+      auto it = bindings.find(var.var_id);
+      return it == bindings.end() ? Expr() : it->second;
+    });
+  });
+  if (new_body.get() == consumer->body.get()) {
+    return consumer;
+  }
+  auto inlined = std::make_shared<Operation>(*consumer);
+  inlined->body = std::move(new_body);
+  return inlined;
 }
 
 }  // namespace ansor

@@ -81,6 +81,20 @@ Tensor Compute(const std::string& name, std::vector<int64_t> shape,
 Tensor MakeComputeOp(const std::string& name, std::vector<int64_t> shape,
                      std::vector<Expr> axis, Expr body);
 
+// The two ops a cache_write of compute op `op` makes (paper rule 5): `cache`,
+// named `<op>.cache`, carries op's body on fresh axis vars; `consumer` is op
+// (same buffer and axes) rewritten to copy the cache element-wise.
+struct CacheWriteOps {
+  OperationRef cache;
+  OperationRef consumer;
+};
+CacheWriteOps MakeCacheWriteOps(const Operation& op);
+
+// `consumer` with every load of `producer`'s buffer replaced by producer's
+// body, its axis vars bound to the load's indices (compute_inline). Returns
+// `consumer` itself when its body reads no such load.
+OperationRef InlineProducer(const Operation& producer, const OperationRef& consumer);
+
 }  // namespace ansor
 
 #endif  // ANSOR_SRC_EXPR_OPERATION_H_

@@ -487,44 +487,22 @@ bool State::ApplyComputeAt(const Step& step) {
   return true;
 }
 
-void State::RewriteConsumerBodies(const std::string& buffer_name,
-                                  const std::function<Expr(const ExprNode&)>& rewrite) {
-  // `rewrite` maps a Load node of the named buffer to its replacement; every
-  // other node is kept, so a body without such a load keeps its op.
-  const std::function<Expr(const ExprNode&)> visit = [&](const ExprNode& n) -> Expr {
-    return n.kind == ExprKind::kLoad && n.buffer->name == buffer_name ? rewrite(n) : Expr();
-  };
-  for (Stage& s : stages_) {
-    if (s.op->kind != OpKind::kCompute || s.name() == buffer_name) {
-      continue;
-    }
-    Expr new_body = Rewrite(s.op->body, visit);
-    if (new_body.get() != s.op->body.get()) {
-      auto new_op = std::make_shared<Operation>(*s.op);
-      new_op->body = std::move(new_body);
-      s.op = std::move(new_op);
-    }
-  }
-}
-
 bool State::ApplyComputeInline(const Step& step) {
   Stage& stage = stages_[static_cast<size_t>(StageIndex(step.stage))];
   if (HasReduce(stage.op->body)) {
     return Fail("cannot inline a reduction stage: " + step.stage);
   }
-  const OperationRef op = stage.op;
+  const OperationRef producer = stage.op;
   // Replace loads of this buffer in all other stages with the body, binding
-  // axis vars to the load's index expressions.
-  RewriteConsumerBodies(step.stage, [&](const ExprNode& load) -> Expr {
-    std::unordered_map<int64_t, Expr> bindings;
-    for (size_t d = 0; d < op->axis.size(); ++d) {
-      bindings[op->axis[d]->var_id] = load.operands[d];
+  // axis vars to the load's index expressions. A consumer the DAG already
+  // rewrote this way (both ops still the DAG's own) takes the shared op.
+  for (Stage& s : stages_) {
+    if (s.op->kind != OpKind::kCompute || s.name() == step.stage) {
+      continue;
     }
-    return Substitute(op->body, [&](const ExprNode& var) {
-      auto it = bindings.find(var.var_id);
-      return it == bindings.end() ? Expr() : it->second;
-    });
-  });
+    const OperationRef* shared = dag_->SharedInline(producer, s.op);
+    s.op = shared != nullptr ? *shared : InlineProducer(*producer, s.op);
+  }
   stage.loc.kind = ComputeLocKind::kInlined;
   return true;
 }
@@ -541,30 +519,16 @@ bool State::ApplyCacheWrite(const Step& step) {
     return Fail("cache stage already exists: " + cache_name);
   }
 
-  // Cache op: carries the original body on fresh axis vars.
-  std::vector<Expr> cache_axis;
-  std::unordered_map<int64_t, Expr> bindings;
-  for (const Expr& axis : op->axis) {
-    Expr v = MakeVar(axis->var_name, axis->var_extent);
-    bindings[axis->var_id] = v;
-    cache_axis.push_back(std::move(v));
-  }
-  Expr cache_body = Substitute(op->body, [&](const ExprNode& var) {
-    auto it = bindings.find(var.var_id);
-    return it == bindings.end() ? Expr() : it->second;
-  });
-  Tensor cache = MakeComputeOp(cache_name, op->output->shape, std::move(cache_axis),
-                               std::move(cache_body));
-
-  // Original op becomes the identity consumer of the cache.
-  std::vector<Expr> identity_indices(op->axis.begin(), op->axis.end());
-  auto new_op = std::make_shared<Operation>(*op);
-  new_op->body = Load(cache.buffer(), std::move(identity_indices));
-  stage.op = std::move(new_op);
+  // The cache op carries the original body on fresh axis vars; the original
+  // op becomes its identity consumer. A stage still holding the DAG's own op
+  // takes the pair the DAG built once.
+  const CacheWriteOps* shared = dag_->SharedCacheWrite(op);
+  CacheWriteOps ops = shared != nullptr ? *shared : MakeCacheWriteOps(*op);
+  stage.op = std::move(ops.consumer);
   ResetStageIters(&stage);
 
   Stage cache_stage;
-  cache_stage.op = cache.op();
+  cache_stage.op = std::move(ops.cache);
   stages_.insert(stages_.begin() + stage_idx, std::move(cache_stage));
   ResetStageIters(&stages_[static_cast<size_t>(stage_idx)]);
 

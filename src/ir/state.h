@@ -4,7 +4,11 @@
 // A State owns its own view of the operation list because schedule steps can
 // rewrite the DAG (cache-write and rfactor insert new stages; inlining
 // rewrites consumer bodies) — paper §2: "some optimization needs to add new
-// nodes to the computational graph".
+// nodes to the computational graph". The view holds immutable, shared ops: a
+// cache-write or an inline applied to ops the DAG still owns takes the DAG's
+// precomputed rewrite (ComputeDAG::SharedCacheWrite / SharedInline), so
+// every replay of a step list shares those ops; a step on an op this State
+// already rewrote, and every rfactor, builds a private op.
 //
 // The loop structure itself is plain data. Split and fuse append integer
 // relations over iterator ids to the stage's record and build no expression;
@@ -134,9 +138,6 @@ class State {
   // Re-initializes a stage's iterators (with fresh ids) and its relation
   // record from its (possibly rewritten) op.
   void ResetStageIters(Stage* stage);
-  // Replaces every load of `buffer_name` in consumer bodies via `rewrite`.
-  void RewriteConsumerBodies(const std::string& buffer_name,
-                             const std::function<Expr(const ExprNode&)>& rewrite);
 
   const ComputeDAG* dag_ = nullptr;
   std::shared_ptr<const ComputeDAG> dag_owner_;

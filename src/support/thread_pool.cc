@@ -52,33 +52,30 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     fn(0);
     return;
   }
-  // Dynamic chunked dispatch: workers and the calling thread all pull chunks
-  // from a shared counter, so the caller participates instead of blocking
-  // idle, and load balances without per-chunk queue churn. The dispatch block
-  // is heap-allocated because a queued helper task can wake after every chunk
-  // is claimed (and the caller has returned); such stragglers only read
-  // `next_chunk`, see the range exhausted, and exit.
-  size_t num_chunks = std::min(n, (workers_.size() + 1) * 4);
-  size_t chunk = (n + num_chunks - 1) / num_chunks;
+  // Per-item dynamic dispatch: workers and the calling thread all claim one
+  // index at a time from a shared counter, so the caller participates instead
+  // of blocking idle. The callers run items of 5-200 us each (a program-cache
+  // hit, an artifact build, a mutation replay), so one atomic increment per
+  // item is noise, while claiming items in chunks let one chunk of slow
+  // builds hold up the whole pass. The dispatch block is heap-allocated
+  // because a queued helper task can wake after every item is claimed (and
+  // the caller has returned); such stragglers only read `next`, see the
+  // range exhausted, and exit.
   struct Dispatch {
-    std::atomic<size_t> next_chunk{0};
-    std::atomic<size_t> done_chunks{0};
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0};
     std::mutex mu;
     std::condition_variable cv;
   };
   auto d = std::make_shared<Dispatch>();
-  auto run_chunks = [d, &fn, n, chunk, num_chunks] {
+  auto run_items = [d, &fn, n] {
     for (;;) {
-      size_t c = d->next_chunk.fetch_add(1);
-      if (c >= num_chunks) {
+      size_t i = d->next.fetch_add(1);
+      if (i >= n) {
         return;
       }
-      size_t begin = c * chunk;
-      size_t end = std::min(n, begin + chunk);
-      for (size_t i = begin; i < end; ++i) {
-        fn(i);
-      }
-      if (d->done_chunks.fetch_add(1) + 1 == num_chunks) {
+      fn(i);
+      if (d->done.fetch_add(1) + 1 == n) {
         // Notify under the lock so the caller cannot check the predicate and
         // then sleep between our increment and our notify.
         std::lock_guard<std::mutex> done_lock(d->mu);
@@ -86,17 +83,17 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       }
     }
   };
-  size_t helpers = std::min(workers_.size(), num_chunks - 1);
+  size_t helpers = std::min(workers_.size(), n - 1);
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < helpers; ++i) {
-      tasks_.push(run_chunks);
+      tasks_.push(run_items);
     }
   }
   cv_.notify_all();
-  run_chunks();  // caller participates
+  run_items();  // caller participates
   std::unique_lock<std::mutex> done_lock(d->mu);
-  d->cv.wait(done_lock, [&] { return d->done_chunks.load() == num_chunks; });
+  d->cv.wait(done_lock, [&] { return d->done.load() == n; });
 }
 
 void ThreadPool::Enqueue(std::function<void()> fn) {

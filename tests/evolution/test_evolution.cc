@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 
@@ -288,8 +289,9 @@ TEST(Evolution, EvolveDeterministicAcrossThreadCounts) {
   }
 }
 
-// Forwards to a RandomCostModel and records every program that reaches
-// PredictStatementsBatch, with the per-stage sums of the scores returned.
+// Forwards to a RandomCostModel and records every program whose statements
+// it scores, with the per-stage sums of the scores returned. Pool workers
+// score crossover parents concurrently, so recording takes a lock.
 class CountingCostModel : public CostModel {
  public:
   explicit CountingCostModel(uint64_t seed) : inner_(seed) {}
@@ -299,15 +301,10 @@ class CountingCostModel : public CostModel {
     return inner_.PredictBatch(programs);
   }
   std::vector<double> PredictStatements(const FeatureMatrix& rows) override {
-    return inner_.PredictStatements(rows);
-  }
-  std::vector<std::vector<double>> PredictStatementsBatch(
-      const std::vector<const FeatureMatrix*>& programs) override {
-    std::vector<std::vector<double>> preds = inner_.PredictStatementsBatch(programs);
-    for (size_t p = 0; p < programs.size(); ++p) {
-      scored.push_back(programs[p]);
-      stage_sums.push_back(StageSums(*programs[p], preds[p]));
-    }
+    std::vector<double> preds = inner_.PredictStatements(rows);
+    std::lock_guard<std::mutex> lock(mu_);
+    scored.push_back(&rows);
+    stage_sums.push_back(StageSums(rows, preds));
     return preds;
   }
 
@@ -324,14 +321,14 @@ class CountingCostModel : public CostModel {
   std::vector<std::unordered_map<std::string, double>> stage_sums;
 
  private:
+  std::mutex mu_;
   RandomCostModel inner_;
 };
 
 TEST(Evolution, EvolveScoresEachCrossoverParentOncePerCall) {
   // Crossover-only evolution over several generations: parents recur across
   // waves and generations, and the call's memo must score each artifact with
-  // one PredictStatementsBatch entry, holding the scores a direct
-  // PredictStatements call gives.
+  // one PredictStatements call, holding the scores a direct call gives.
   ComputeDAG dag = testing::Matmul(32, 32, 32);
   auto init = InitPopulation(&dag, 8, 29);
   EvolutionOptions options;

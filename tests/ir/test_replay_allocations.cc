@@ -55,7 +55,8 @@ namespace {
 // (the bench's c2d-gpu program mix) and bounds the average number of heap
 // allocations one State::Replay makes. A replay builds plain schedule data;
 // loop variables and axis reconstructions are expressions built only when a
-// program is lowered, so they must not show up here.
+// program is lowered, and a cache_write or compute_inline of the DAG's own op
+// takes the DAG's precomputed rewrite, so no expression tree shows up here.
 TEST(ReplayAllocations, SampledGpuConvReplayStaysUnderBound) {
   ComputeDAG dag = MakeConv2d(1, 128, 28, 28, 128, 3, 3, 1, 1);
   std::vector<State> sketches = GenerateSketches(&dag);
@@ -85,7 +86,7 @@ TEST(ReplayAllocations, SampledGpuConvReplayStaysUnderBound) {
   }
   const double per_replay = static_cast<double>(total) / static_cast<double>(programs.size());
   RecordProperty("allocations_per_replay", std::to_string(per_replay));
-  EXPECT_LE(per_replay, 150.0) << "State::Replay allocates " << per_replay
+  EXPECT_LE(per_replay, 90.0) << "State::Replay allocates " << per_replay
                                << " times per sampled program";
 }
 

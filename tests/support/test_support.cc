@@ -95,7 +95,7 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
 }
 
 TEST(ThreadPool, RepeatedParallelForIsExact) {
-  // Stresses the chunk dispatcher (caller participation + straggler tasks):
+  // Stresses the item dispatcher (caller participation + straggler tasks):
   // every index must run exactly once on every invocation.
   ThreadPool pool(4);
   for (int round = 0; round < 200; ++round) {
