@@ -165,8 +165,11 @@ ComputeDAG::ComputeDAG(const std::vector<Tensor>& tensors) {
     if (op.kind != OpKind::kCompute) {
       continue;
     }
-    cache_writes_[i] = MakeCacheWriteOps(op);
+    // Only a reduction is worth a cache stage (sketch rule 5 requires data
+    // reuse), so only reductions get a shared pair; building one for every
+    // elementwise op as well doubled the cost of this precompute.
     if (HasReduce(op.body)) {
+      cache_writes_[i] = MakeCacheWriteOps(op);
       continue;
     }
     for (int consumer : consumers_[i]) {

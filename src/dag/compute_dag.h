@@ -12,7 +12,7 @@
 // CanonicalHash() is a field read; copies carry the same value.
 //
 // The constructor also precomputes the rewrites that schedule steps apply to
-// the DAG's own ops: each compute op's cache_write pair and, for each
+// the DAG's own ops: each reduction op's cache_write pair and, for each
 // non-reduction producer, each consumer with that producer inlined. They are
 // immutable ops shared by every State that applies the step to an op the DAG
 // still owns, so replaying a step list does not rebuild their expression
@@ -74,7 +74,7 @@ class ComputeDAG {
   std::string ToString() const;
 
   // The precomputed cache_write pair of `op` when `op` is this DAG's own
-  // compute op; nullptr otherwise (MakeCacheWriteOps builds one).
+  // reduction op; nullptr otherwise (MakeCacheWriteOps builds one).
   const CacheWriteOps* SharedCacheWrite(const OperationRef& op) const;
   // `consumer` with `producer` inlined when both are this DAG's own ops and
   // `producer` is a non-reduction producer of `consumer`; nullptr otherwise
@@ -90,7 +90,7 @@ class ComputeDAG {
   std::vector<OperationRef> ops_;
   std::unordered_map<std::string, int> op_index_;
   std::vector<std::vector<int>> consumers_;
-  // Per op: its cache_write pair (empty for placeholders).
+  // Per op: its cache_write pair (empty unless the op is a reduction).
   std::vector<CacheWriteOps> cache_writes_;
   // Per op, aligned with consumers_: each consumer with the op inlined (empty
   // for placeholders and reductions).

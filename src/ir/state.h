@@ -5,10 +5,10 @@
 // rewrite the DAG (cache-write and rfactor insert new stages; inlining
 // rewrites consumer bodies) — paper §2: "some optimization needs to add new
 // nodes to the computational graph". The view holds immutable, shared ops: a
-// cache-write or an inline applied to ops the DAG still owns takes the DAG's
-// precomputed rewrite (ComputeDAG::SharedCacheWrite / SharedInline), so
-// every replay of a step list shares those ops; a step on an op this State
-// already rewrote, and every rfactor, builds a private op.
+// cache-write of a reduction or an inline applied to ops the DAG still owns
+// takes the DAG's precomputed rewrite (ComputeDAG::SharedCacheWrite /
+// SharedInline), so every replay of a step list shares those ops; a step on
+// an op this State already rewrote, and every rfactor, builds a private op.
 //
 // The loop structure itself is plain data. Split and fuse append integer
 // relations over iterator ids to the stage's record and build no expression;

@@ -169,7 +169,8 @@ TEST(StateSharing, ReplaysShareRewrittenOperations) {
 
 TEST(StateSharing, RewrittenOperationsFallBackToPrivateOps) {
   // Only the DAG's own ops have precomputed rewrites: a reduction producer
-  // has no inlined consumers, and an op a State rewrote gets none.
+  // has no inlined consumers, only reductions have a cache_write pair, and
+  // an op a State rewrote gets none.
   ComputeDAG dag = testing::ReluPadMatmul();
   const OperationRef& c = dag.op(dag.OpIndexOf("C"));
   const OperationRef& e = dag.op(dag.OpIndexOf("E"));
@@ -180,6 +181,7 @@ TEST(StateSharing, RewrittenOperationsFallBackToPrivateOps) {
   EXPECT_EQ(dag.SharedInline(c, copy), nullptr);
   ASSERT_NE(dag.SharedCacheWrite(e), nullptr);
   EXPECT_EQ(dag.SharedCacheWrite(e)->cache->name(), "E.cache");
+  EXPECT_EQ(dag.SharedCacheWrite(c), nullptr);                           // elementwise
   EXPECT_EQ(dag.SharedCacheWrite(dag.op(dag.OpIndexOf("A"))), nullptr);  // placeholder
 }
 
