@@ -64,7 +64,7 @@ int main() {
     ansor::ArtifactStore artifacts;
     ansor::ProgramCache cache;
     artifacts.LoadFromFile(artifact_path);
-    size_t warmed = artifacts.WarmCache(&cache, task.dag);
+    size_t warmed = artifacts.WarmCache(&cache, task.task_id());
 
     ansor::Measurer measurer(ansor::MachineModel::IntelCpu20Core());
     ansor::GbdtCostModel model;

@@ -32,8 +32,8 @@
 // ProgramArtifact at construction, so the ProgramCache computes them once per
 // distinct program. Check 5 depends on the machine, but all it reads of the
 // program is a small machine-independent ResourceSummary; the artifact keeps
-// that summary (not the loop tree) and memoizes the check's verdict keyed by
-// MachineModel::Fingerprint().
+// that summary (not the loop tree) and runs the check on it for each
+// consult, which costs a walk over a few loops.
 //
 // Soundness direction: a kPass verdict is a proof — the verifier never
 // passes a bounds/domain/ordering property that could fail at runtime. The

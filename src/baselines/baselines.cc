@@ -76,9 +76,12 @@ State FillTileSizesHeuristic(const State& sketch, const ComputeDAG* dag, int64_t
 }
 
 // Deterministic expert annotation. CPU: fuse+parallel outer space loops of
-// every root stage, vectorize the innermost loop, unroll pragma 16. GPU:
-// fuse all outer space loops, split off 256 threads, bind block/thread.
-void AnnotateExpert(State* state, bool gpu) {
+// every root stage, vectorize the innermost loop unless its extent exceeds
+// the machine's max_vector_extent (the verifier's and the measurer's rule),
+// unroll pragma 16. GPU: fuse all outer space loops, split off 256 threads,
+// bind block/thread.
+void AnnotateExpert(State* state, const MachineModel& machine) {
+  const bool gpu = machine.kind == MachineKind::kGpu;
   std::vector<std::pair<std::string, bool>> stages;
   for (const Stage& s : state->stages()) {
     if (s.loc.kind == ComputeLocKind::kInlined) {
@@ -134,8 +137,9 @@ void AnnotateExpert(State* state, bool gpu) {
     const Stage& current = state->stage(idx);
     if (!gpu && !current.iters.empty()) {
       int last = static_cast<int>(current.iters.size()) - 1;
-      if (current.iters[static_cast<size_t>(last)].annotation == IterAnnotation::kNone &&
-          current.iters[static_cast<size_t>(last)].extent >= 2) {
+      const Iterator& inner = current.iters[static_cast<size_t>(last)];
+      if (inner.annotation == IterAnnotation::kNone && inner.extent >= 2 &&
+          !(machine.max_vector_extent > 0 && inner.extent > machine.max_vector_extent)) {
         state->Annotate(name, last, IterAnnotation::kVectorize);
       }
     }
@@ -159,7 +163,7 @@ TuneResult VendorLibrary(const SearchTask& task, Measurer* measurer) {
       if (state.failed()) {
         continue;
       }
-      AnnotateExpert(&state, measurer->machine().kind == MachineKind::kGpu);
+      AnnotateExpert(&state, measurer->machine());
       if (state.failed()) {
         continue;
       }

@@ -1,19 +1,6 @@
 #include "src/hwsim/machine_model.h"
 
-#include <functional>
-
-#include "src/support/util.h"
-
 namespace ansor {
-
-uint64_t MachineModel::Fingerprint() const {
-  uint64_t seed = std::hash<std::string>()(name);
-  HashCombine(&seed, static_cast<uint64_t>(kind));
-  HashCombine(&seed, static_cast<uint64_t>(max_threads_per_core));
-  HashCombine(&seed, static_cast<uint64_t>(memory_capacity_bytes));
-  HashCombine(&seed, static_cast<uint64_t>(max_vector_extent));
-  return seed;
-}
 
 MachineModel MachineModel::IntelCpu20Core() {
   MachineModel m;

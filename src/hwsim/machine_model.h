@@ -66,11 +66,6 @@ struct MachineModel {
   double PeakGflops() const {
     return clock_ghz * flops_per_cycle_per_core * num_cores * vector_lanes;
   }
-
-  // Stable identity of the fields the verifier's resource checks read, used
-  // to key per-machine memos on cached ProgramArtifacts. Two models with the
-  // same fingerprint yield identical resource verdicts for every program.
-  uint64_t Fingerprint() const;
 };
 
 }  // namespace ansor

@@ -10,14 +10,11 @@ namespace ansor {
 namespace {
 
 // Content address: the DAG's canonical hash (states of different tasks with
-// identical step lists must not alias) plus the step signature. The
-// signature's offset within the key is returned through `sig_offset` so a
-// miss can reuse it for the artifact without recomputing.
-std::string CacheKey(const State& state, size_t* sig_offset) {
-  std::string key = std::to_string(state.dag()->CanonicalHash());
+// identical step lists must not alias) plus the step signature.
+std::string CacheKey(uint64_t task_id, const std::string& signature) {
+  std::string key = std::to_string(task_id);
   key += '|';
-  *sig_offset = key.size();
-  key += StepSignature(state);
+  key += signature;
   return key;
 }
 
@@ -41,8 +38,8 @@ ProgramArtifactPtr ProgramCache::GetOrBuild(const State& state, uint64_t client_
   if (state.failed()) {
     return std::make_shared<const ProgramArtifact>(state);
   }
-  size_t sig_offset = 0;
-  std::string key = CacheKey(state, &sig_offset);
+  std::string signature = StepSignature(state);
+  std::string key = CacheKey(state.dag()->CanonicalHash(), signature);
   Shard& shard = ShardFor(key);
   if (capacity_ == 0) {
     {
@@ -52,7 +49,7 @@ ProgramArtifactPtr ProgramCache::GetOrBuild(const State& state, uint64_t client_
         ++shard.client_stats[client_id].lookups;
       }
     }
-    return std::make_shared<const ProgramArtifact>(state, key.substr(sig_offset), tracer);
+    return std::make_shared<const ProgramArtifact>(state, std::move(signature), tracer);
   }
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -79,32 +76,25 @@ ProgramArtifactPtr ProgramCache::GetOrBuild(const State& state, uint64_t client_
   // Build outside the lock: lowering + feature extraction dominate, and two
   // threads racing on the same key build identical artifacts anyway.
   ProgramArtifactPtr artifact =
-      std::make_shared<const ProgramArtifact>(state, key.substr(sig_offset), tracer);
+      std::make_shared<const ProgramArtifact>(state, std::move(signature), tracer);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
     // A racing thread inserted first; adopt its artifact so callers share
-    // one object per key (one resource-verdict memo, one crossover score).
+    // one object per key, which Evolve's crossover score memo (keyed by
+    // artifact identity) relies on to score each parent once.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
     return it->second.artifact;
   }
-  shard.lru.push_front(key);
-  shard.map.emplace(key, Entry{artifact, shard.lru.begin(), client_id});
-  while (shard.map.size() > per_shard_capacity_) {
-    shard.map.erase(shard.lru.back());
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  InsertLocked(&shard, std::move(key), artifact, client_id);
   return artifact;
 }
 
-bool ProgramCache::WarmInsert(uint64_t dag_hash, ProgramArtifactPtr artifact) {
+bool ProgramCache::WarmInsert(ProgramArtifactPtr artifact) {
   if (capacity_ == 0 || artifact == nullptr) {
     return false;
   }
-  std::string key = std::to_string(dag_hash);
-  key += '|';
-  key += artifact->signature();
+  std::string key = CacheKey(artifact->task_id(), artifact->signature());
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.map.find(key) != shard.map.end()) {
@@ -112,15 +102,21 @@ bool ProgramCache::WarmInsert(uint64_t dag_hash, ProgramArtifactPtr artifact) {
     // already the canonical artifact for this key.
     return false;
   }
-  shard.lru.push_front(key);
-  shard.map.emplace(key, Entry{std::move(artifact), shard.lru.begin(), 0});
   ++shard.warm_inserts;
-  while (shard.map.size() > per_shard_capacity_) {
-    shard.map.erase(shard.lru.back());
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  InsertLocked(&shard, std::move(key), std::move(artifact), 0);
   return true;
+}
+
+void ProgramCache::InsertLocked(Shard* shard, std::string key, ProgramArtifactPtr artifact,
+                                uint64_t builder_client) {
+  shard->lru.push_front(key);
+  shard->map.emplace(std::move(key),
+                     Entry{std::move(artifact), shard->lru.begin(), builder_client});
+  while (shard->map.size() > per_shard_capacity_) {
+    shard->map.erase(shard->lru.back());
+    shard->lru.pop_back();
+    ++shard->evictions;
+  }
 }
 
 void ProgramCache::ForEach(const std::function<void(const ProgramArtifactPtr&)>& fn) const {

@@ -16,6 +16,10 @@
 // The hit/miss *counters* are exact under serial use but may split
 // differently across thread counts when workers race on the same key; only
 // totals (hits + misses) are schedule-independent.
+//
+// An entry enters one way whatever its source: a build on a GetOrBuild miss
+// and a restored artifact from WarmInsert share one key builder and one
+// insert-and-evict step, so both obey the same LRU bound.
 #ifndef ANSOR_SRC_PROGRAM_PROGRAM_CACHE_H_
 #define ANSOR_SRC_PROGRAM_PROGRAM_CACHE_H_
 
@@ -84,9 +88,8 @@ class ProgramCache {
   // normalized empty step history would alias every other failed state — but
   // still yield a (not-ok) artifact. Safe to call from worker threads; a
   // racing build of the same key adopts the first inserted artifact, so
-  // every caller holds one object per resident key: its resource verdicts
-  // are computed once, and Evolve's identity-keyed crossover score memo
-  // scores it once.
+  // every caller holds one object per resident key and Evolve's
+  // identity-keyed crossover score memo scores it once.
   //
   // `client_id` identifies the consumer for the cross-task accounting only
   // (artifacts are identical regardless): 0 is anonymous, a nonzero id is
@@ -102,13 +105,14 @@ class ProgramCache {
   ProgramArtifactPtr GetOrBuild(const State& state, uint64_t client_id = 0,
                                 const Tracer* tracer = nullptr);
 
-  // Installs a prebuilt artifact under (dag_hash, artifact->signature())
-  // without counting a lookup: the artifact-store warm-start path. Keeps an
-  // existing entry on collision (first insert wins, like racing builds) and
-  // respects capacity (no-op at capacity 0). Returns true when inserted.
-  // Thread-safe; a warm insert is result-invariant because artifacts are
-  // pure functions of (DAG, steps) — only the miss counters change.
-  bool WarmInsert(uint64_t dag_hash, ProgramArtifactPtr artifact);
+  // Installs a prebuilt artifact under (artifact->task_id(),
+  // artifact->signature()) without counting a lookup: the artifact-store
+  // warm-start path. Keeps an existing entry on collision (first insert
+  // wins, like racing builds) and respects capacity (no-op at capacity 0).
+  // Returns true when inserted. Thread-safe; a warm insert is
+  // result-invariant because artifacts are pure functions of (DAG, steps) —
+  // only the miss counters change.
+  bool WarmInsert(ProgramArtifactPtr artifact);
 
   // Visits every resident artifact (snapshot capture). Per shard, the
   // entries are copied out under the shard lock and visited unlocked, so
@@ -143,6 +147,11 @@ class ProgramCache {
   };
 
   Shard& ShardFor(const std::string& key);
+  // Inserts a non-resident `key` as the shard's most recently used entry and
+  // evicts least recently used entries down to the per-shard capacity.
+  // Requires shard->mu to be held.
+  void InsertLocked(Shard* shard, std::string key, ProgramArtifactPtr artifact,
+                    uint64_t builder_client);
 
   size_t capacity_;
   size_t per_shard_capacity_;

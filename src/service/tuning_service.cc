@@ -131,7 +131,7 @@ void TuningService::WarmTagCache(ProgramCache* cache,
   // concurrent job hitting the cache mid-warm just sees a prefix of the
   // snapshots — results are invariant either way (artifacts are pure).
   TraceSpan span(tracer, "warm_start", "store");
-  size_t installed = warm_store_.WarmCache(cache, dag);
+  size_t installed = warm_store_.WarmCache(cache, dag->CanonicalHash());
   if (span.enabled()) {
     span.Arg("count", static_cast<int64_t>(installed));
   }

@@ -1,6 +1,5 @@
 #include "src/store/artifact_store.h"
 
-#include "src/dag/compute_dag.h"
 #include "src/ir/state.h"
 #include "src/program/program_cache.h"
 #include "src/store/serde.h"
@@ -9,11 +8,8 @@
 namespace ansor {
 namespace {
 
-constexpr char kArtifactMagic[8] = {'A', 'N', 'S', 'R', 'A', 'R', 'T', '1'};
+constexpr char kArtifactMagic[8] = {'A', 'N', 'S', 'R', 'A', 'R', 'T', '2'};
 constexpr size_t kMagicSize = sizeof(kArtifactMagic);
-constexpr uint8_t kFlagLoweringOk = 1;
-constexpr uint8_t kFlagStructurallyLegal = 2;
-constexpr uint8_t kKnownFlags = kFlagLoweringOk | kFlagStructurallyLegal;
 
 std::string StoreKey(uint64_t task_id, const std::string& signature) {
   return std::to_string(task_id) + '|' + signature;
@@ -22,20 +18,13 @@ std::string StoreKey(uint64_t task_id, const std::string& signature) {
 void EncodeSnapshot(const ArtifactSnapshot& s, StringTable* strings, ByteWriter* body) {
   body->PutU64(s.task_id);
   body->PutVarint(strings->Intern(s.tag));
-  uint8_t flags = 0;
-  if (s.lowering_ok) flags |= kFlagLoweringOk;
-  if (s.structurally_legal) flags |= kFlagStructurallyLegal;
-  body->PutU8(flags);
   body->PutVarint(s.steps.size());
   for (const Step& step : s.steps) {
     EncodeStep(step, strings, body);
   }
   EncodeFeatureMatrix(s.features, strings, body);
-  body->PutVarint(s.resource_verdicts.size());
-  for (const auto& [fingerprint, passed] : s.resource_verdicts) {
-    body->PutU64(fingerprint);
-    body->PutU8(passed ? 1 : 0);
-  }
+  EncodeVerifierReport(s.report, strings, body);
+  EncodeResourceSummary(s.resources, strings, body);
 }
 
 bool DecodeSnapshot(ByteReader* r, const std::vector<std::string>& strings,
@@ -47,13 +36,6 @@ bool DecodeSnapshot(ByteReader* r, const std::vector<std::string>& strings,
     return false;
   }
   out->tag = strings[tag_ref];
-  uint8_t flags = r->GetU8();
-  if (!r->ok() || (flags & ~kKnownFlags) != 0) {
-    r->Fail();
-    return false;
-  }
-  out->lowering_ok = (flags & kFlagLoweringOk) != 0;
-  out->structurally_legal = (flags & kFlagStructurallyLegal) != 0;
   uint64_t num_steps = r->GetCount();
   if (!r->ok()) {
     return false;
@@ -66,22 +48,10 @@ bool DecodeSnapshot(ByteReader* r, const std::vector<std::string>& strings,
     }
     out->steps.push_back(std::move(*step));
   }
-  if (!DecodeFeatureMatrix(r, strings, &out->features)) {
+  if (!DecodeFeatureMatrix(r, strings, &out->features) ||
+      !DecodeVerifierReport(r, strings, &out->report) ||
+      !DecodeResourceSummary(r, strings, &out->resources)) {
     return false;
-  }
-  uint64_t num_verdicts = r->GetCount();
-  if (!r->ok()) {
-    return false;
-  }
-  out->resource_verdicts.reserve(num_verdicts);
-  for (uint64_t i = 0; i < num_verdicts; ++i) {
-    uint64_t fingerprint = r->GetU64();
-    uint8_t passed = r->GetU8();
-    if (!r->ok() || passed > 1) {
-      r->Fail();
-      return false;
-    }
-    out->resource_verdicts.emplace_back(fingerprint, passed != 0);
   }
   // A well-formed body has nothing trailing: leftover bytes mean the length
   // prefix and the content disagree, i.e. corruption.
@@ -122,10 +92,9 @@ size_t ArtifactStore::CaptureCache(const ProgramCache& cache, const std::string&
     snapshot.task_id = artifact->task_id();
     snapshot.tag = tag;
     snapshot.steps = artifact->steps();
-    snapshot.lowering_ok = artifact->ok();
-    snapshot.structurally_legal = artifact->statically_legal();
     snapshot.features = artifact->features();
-    snapshot.resource_verdicts = artifact->resource_verdict_summary();
+    snapshot.report = artifact->verifier_report();
+    snapshot.resources = artifact->resource_summary();
     if (Add(std::move(snapshot))) {
       ++added;
     }
@@ -133,22 +102,19 @@ size_t ArtifactStore::CaptureCache(const ProgramCache& cache, const std::string&
   return added;
 }
 
-size_t ArtifactStore::WarmCache(ProgramCache* cache,
-                                std::shared_ptr<const ComputeDAG> dag) const {
-  if (cache == nullptr || dag == nullptr) {
+size_t ArtifactStore::WarmCache(ProgramCache* cache, uint64_t task_id) const {
+  if (cache == nullptr) {
     return 0;
   }
-  uint64_t task_id = dag->CanonicalHash();
   size_t inserted = 0;
   std::lock_guard<std::mutex> lock(mu_);
   for (const ArtifactSnapshot& s : snapshots_) {
     if (s.task_id != task_id) {
       continue;
     }
-    auto artifact = std::make_shared<const ProgramArtifact>(
-        dag, s.steps, StepSignature(s.steps), s.features, s.lowering_ok,
-        s.structurally_legal, s.resource_verdicts);
-    if (cache->WarmInsert(task_id, std::move(artifact))) {
+    auto artifact = std::make_shared<const ProgramArtifact>(s.task_id, s.steps, s.features,
+                                                            s.report, s.resources);
+    if (cache->WarmInsert(std::move(artifact))) {
       ++inserted;
     }
   }

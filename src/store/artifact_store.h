@@ -2,17 +2,19 @@
 // layer.
 //
 // A tuning run's ProgramCache holds everything expensive the run derived —
-// compiled programs' feature matrices, legality flags, per-machine resource
-// verdicts — keyed by (task, step signature). An ArtifactStore captures that
-// cache into serializable ArtifactSnapshots and restores it later, so a
-// resumed (or fleet warm-started) run rebuilds nothing it has already seen:
-// WarmCache installs lazy artifacts (src/program/program_artifact.h) that
-// serve population scoring and static filtering straight from the snapshot
-// and only re-lower when a consumer asks for something the snapshot lacks.
+// compiled programs' feature matrices, verifier reports and resource
+// summaries — keyed by (task, step signature). An ArtifactStore captures
+// that cache into serializable ArtifactSnapshots, each holding every field
+// of a ProgramArtifact (src/program/program_artifact.h), and restores it
+// later: WarmCache installs complete artifacts built straight from the
+// snapshots, so a resumed (or fleet warm-started) run rebuilds nothing it
+// has already seen and reads exactly what the cold builds computed.
 //
 // The on-disk container mirrors the record store's: an interned string
 // table, length-prefixed snapshot bodies (a corrupted snapshot is skipped
 // and counted, never crashes the loader), and a fixed magic for detection.
+// The magic is ANSRART2: an ANSRART1 file, whose snapshots held pass/fail
+// bits in place of the report and the summary, is refused, not misread.
 //
 // Thread safety. One ArtifactStore may be shared by any number of threads
 // (every job of a TuningService warms its cache from the service's store):
@@ -20,7 +22,7 @@
 //     the stats only under mu_ (CaptureCache through Add, the file methods
 //     through Serialize/Deserialize), so any mix of concurrent calls is safe;
 //   * nothing borrowed escapes the lock: readers get values (size(),
-//     stats(), Serialize()'s bytes) or copies (WarmCache builds each warm
+//     stats(), Serialize()'s bytes) or copies (WarmCache builds each
 //     artifact from a copy of the snapshot's fields), never a reference into
 //     the store;
 //   * lock order is mu_ before a ProgramCache shard lock: WarmCache inserts
@@ -31,33 +33,29 @@
 #define ANSOR_SRC_STORE_ARTIFACT_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
+#include "src/analysis/program_verifier.h"
 #include "src/features/feature_matrix.h"
 #include "src/ir/steps.h"
 
 namespace ansor {
 
-class ComputeDAG;
 class ProgramCache;
 
-// Everything a warm ProgramArtifact restore needs, plus the cache tag it was
-// captured from (so a multi-tag service warms each shared cache with its own
-// tag's artifacts).
+// The fields of one ProgramArtifact (its signature is StepSignature(steps)),
+// plus the cache tag it was captured from (so a multi-tag service warms each
+// shared cache with its own tag's artifacts).
 struct ArtifactSnapshot {
   uint64_t task_id = 0;  // producing DAG's canonical hash
   std::string tag;       // owning cache's tag ("" = untagged / single tuner)
   std::vector<Step> steps;
-  bool lowering_ok = false;
-  bool structurally_legal = false;
-  FeatureMatrix features;  // empty when lowering_ok is false
-  // (machine fingerprint, passed) summaries of memoized resource verdicts.
-  std::vector<std::pair<uint64_t, bool>> resource_verdicts;
+  FeatureMatrix features;  // empty when resources.lowered is false
+  VerifierReport report;
+  ResourceSummary resources;
 };
 
 // Result of loading a serialized artifact store. `ok` means the container
@@ -97,14 +95,12 @@ class ArtifactStore {
   // the number of snapshots newly added.
   size_t CaptureCache(const ProgramCache& cache, const std::string& tag = "");
 
-  // Installs a warm (lazy) ProgramArtifact into `cache` for every stored
-  // snapshot whose task_id matches dag->CanonicalHash(). The artifacts serve
-  // features and legality immediately and re-lower only on demand (a full
-  // verifier report, or a machine outside the verdict summary), so a
+  // Installs a ProgramArtifact into `cache` for every stored snapshot of
+  // task `task_id` (a DAG's CanonicalHash()). Each artifact is complete, so a
   // search that only re-encounters snapshot programs reports zero cache
-  // misses. Returns the number of artifacts inserted (collisions with
-  // already-resident entries are skipped).
-  size_t WarmCache(ProgramCache* cache, std::shared_ptr<const ComputeDAG> dag) const;
+  // misses and compiles nothing. Returns the number of artifacts inserted
+  // (collisions with already-resident entries are skipped).
+  size_t WarmCache(ProgramCache* cache, uint64_t task_id) const;
 
   // --- Persistence -----------------------------------------------------------
 

@@ -5,6 +5,7 @@ namespace {
 
 constexpr uint8_t kMaxStepKind = static_cast<uint8_t>(StepKind::kPragma);
 constexpr uint8_t kMaxAnnotation = static_cast<uint8_t>(IterAnnotation::kVThread);
+constexpr uint8_t kMaxVerdict = static_cast<uint8_t>(VerifierVerdict::kFail);
 
 std::optional<std::string> LookupString(uint64_t ref,
                                         const std::vector<std::string>& strings,
@@ -226,6 +227,83 @@ bool DecodeFeatureMatrix(ByteReader* r, const std::vector<std::string>& strings,
     return false;
   }
   *out = std::move(m);
+  return true;
+}
+
+void EncodeVerifierReport(const VerifierReport& report, StringTable* strings,
+                          ByteWriter* w) {
+  for (const CheckVerdict& check : report.checks) {
+    w->PutU8(static_cast<uint8_t>(check.verdict));
+    w->PutVarint(check.diagnostics.size());
+    for (const std::string& diagnostic : check.diagnostics) {
+      w->PutVarint(strings->Intern(diagnostic));
+    }
+  }
+}
+
+bool DecodeVerifierReport(ByteReader* r, const std::vector<std::string>& strings,
+                          VerifierReport* out) {
+  for (CheckVerdict& check : out->checks) {
+    uint8_t verdict = r->GetU8();
+    uint64_t num_diagnostics = r->GetCount();
+    if (!r->ok() || verdict > kMaxVerdict) {
+      r->Fail();
+      return false;
+    }
+    check.verdict = static_cast<VerifierVerdict>(verdict);
+    check.diagnostics.clear();
+    check.diagnostics.reserve(num_diagnostics);
+    for (uint64_t i = 0; i < num_diagnostics; ++i) {
+      auto diagnostic = LookupString(r->GetVarint(), strings, r);
+      if (!diagnostic.has_value()) {
+        return false;
+      }
+      check.diagnostics.push_back(std::move(*diagnostic));
+    }
+  }
+  return true;
+}
+
+void EncodeResourceSummary(const ResourceSummary& summary, StringTable* strings,
+                           ByteWriter* w) {
+  w->PutU8(summary.lowered ? 1 : 0);
+  w->PutZigzag(summary.footprint_bytes);
+  w->PutVarint(summary.loops.size());
+  for (const ResourceSummary::Loop& loop : summary.loops) {
+    w->PutVarint(strings->Intern(loop.stage));
+    w->PutU8(static_cast<uint8_t>(loop.annotation));
+    w->PutZigzag(loop.extent);
+  }
+}
+
+bool DecodeResourceSummary(ByteReader* r, const std::vector<std::string>& strings,
+                           ResourceSummary* out) {
+  uint8_t lowered = r->GetU8();
+  out->footprint_bytes = r->GetZigzag();
+  uint64_t num_loops = r->GetCount();
+  if (!r->ok() || lowered > 1) {
+    r->Fail();
+    return false;
+  }
+  out->lowered = lowered != 0;
+  out->loops.clear();
+  out->loops.reserve(num_loops);
+  for (uint64_t i = 0; i < num_loops; ++i) {
+    auto stage = LookupString(r->GetVarint(), strings, r);
+    if (!stage.has_value()) {
+      return false;
+    }
+    ResourceSummary::Loop loop;
+    loop.stage = std::move(*stage);
+    uint8_t annotation = r->GetU8();
+    loop.extent = r->GetZigzag();
+    if (!r->ok() || annotation > kMaxAnnotation) {
+      r->Fail();
+      return false;
+    }
+    loop.annotation = static_cast<IterAnnotation>(annotation);
+    out->loops.push_back(std::move(loop));
+  }
   return true;
 }
 

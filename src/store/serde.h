@@ -1,11 +1,12 @@
 // Shared binary codecs for store payloads: interned strings, transform
-// steps, and feature matrices.
+// steps, feature matrices, verifier reports and resource summaries.
 //
 // Step encodings reference stage names through a per-file StringTable, so a
 // 100k-record log stores each stage name once and each step points at it
 // with a 1-2 byte varint. Decoders validate every table reference and kind
 // discriminator; a malformed step fails the reader instead of producing a
-// half-initialized Step.
+// half-initialized Step, and a decoded count larger than the bytes left fails
+// before anything is sized from it.
 #ifndef ANSOR_SRC_STORE_SERDE_H_
 #define ANSOR_SRC_STORE_SERDE_H_
 
@@ -14,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/analysis/program_verifier.h"
 #include "src/features/feature_matrix.h"
 #include "src/ir/steps.h"
 #include "src/store/bytes.h"
@@ -49,6 +51,20 @@ std::optional<Step> DecodeStep(ByteReader* r, const std::vector<std::string>& st
 void EncodeFeatureMatrix(const FeatureMatrix& m, StringTable* strings, ByteWriter* w);
 bool DecodeFeatureMatrix(ByteReader* r, const std::vector<std::string>& strings,
                          FeatureMatrix* out);
+
+// Verifier reports serialize as, per check, a verdict byte and the
+// diagnostics as table references; resource summaries as the lowered flag,
+// the footprint, and per loop a stage reference, an annotation byte and the
+// extent. Decoders fail the reader on a verdict or annotation byte outside
+// its enum.
+void EncodeVerifierReport(const VerifierReport& report, StringTable* strings,
+                          ByteWriter* w);
+bool DecodeVerifierReport(ByteReader* r, const std::vector<std::string>& strings,
+                          VerifierReport* out);
+void EncodeResourceSummary(const ResourceSummary& summary, StringTable* strings,
+                           ByteWriter* w);
+bool DecodeResourceSummary(ByteReader* r, const std::vector<std::string>& strings,
+                           ResourceSummary* out);
 
 }  // namespace ansor
 

@@ -271,7 +271,7 @@ TEST(ProgramVerifier, ResourceVerdictMatchesSimulatedMeasurement) {
   EXPECT_NE(oom.error.find("footprint"), std::string::npos) << oom.error;
 }
 
-TEST(ProgramVerifier, ArtifactStampsReportAndMemoizesResourceVerdicts) {
+TEST(ProgramVerifier, ArtifactStampsReportAndChecksResourcesPerMachine) {
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   ProgramCache cache;
   State s(&dag);
@@ -280,16 +280,20 @@ TEST(ProgramVerifier, ArtifactStampsReportAndMemoizesResourceVerdicts) {
   EXPECT_TRUE(artifact->verifier_report().legal());
   EXPECT_TRUE(artifact->statically_legal());
 
+  // Each machine's verdict is checked from the artifact's resource summary
+  // and equals the check on a fresh lowering.
   MachineModel intel = MachineModel::IntelCpu20Core();
-  MachineModel arm = MachineModel::ArmCpu4Core();
-  auto first = artifact->resource_verdict(intel);
-  // Same machine fingerprint: the memoized verdict object is reused.
-  EXPECT_EQ(first.get(), artifact->resource_verdict(intel).get());
-  // A different machine gets its own entry; both verdicts coexist.
-  auto other = artifact->resource_verdict(arm);
-  EXPECT_NE(first.get(), other.get());
-  EXPECT_EQ(first.get(), artifact->resource_verdict(intel).get());
+  MachineModel tiny = MachineModel::IntelCpu20Core();
+  tiny.memory_capacity_bytes = 256;
+  for (const MachineModel& machine : {intel, MachineModel::ArmCpu4Core(), tiny}) {
+    const CheckVerdict expected = VerifyResources(Lower(s), machine);
+    const CheckVerdict got = artifact->resource_verdict(machine);
+    EXPECT_EQ(got.verdict, expected.verdict);
+    EXPECT_EQ(got.diagnostics, expected.diagnostics);
+    EXPECT_EQ(artifact->statically_legal(&machine), !expected.failed());
+  }
   EXPECT_TRUE(artifact->statically_legal(&intel));
+  EXPECT_FALSE(artifact->statically_legal(&tiny));
 }
 
 TEST(ProgramVerifier, EvolutionCountsStaticRejections) {
@@ -356,8 +360,8 @@ TEST(ProgramVerifier, StaticFilterSavesMeasurementTrialsAtEqualBudget) {
 
 TEST(ProgramVerifierConcurrency, ParallelVerdictsThroughSharedCache) {
   // Many threads resolving verdicts for the same artifacts through a sharded
-  // cache, against two machines: exercises the resource-memo locking (run
-  // under the tsan preset via the ProgramVerifier filter).
+  // cache, against two machines: exercises concurrent reads of shared
+  // artifacts (run under the tsan preset via the ProgramVerifier filter).
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   Rng rng(17);
   auto population = SampleLowerablePopulation(&dag, 8, &rng);
@@ -367,22 +371,23 @@ TEST(ProgramVerifierConcurrency, ParallelVerdictsThroughSharedCache) {
   ProgramCache cache(/*capacity=*/64, /*num_shards=*/4);
   ThreadPool pool(4);
   const size_t kLookups = 256;
-  std::vector<const CheckVerdict*> verdicts(kLookups);
+  std::vector<CheckVerdict> verdicts(kLookups);
   std::vector<char> legal(kLookups);
   pool.ParallelFor(kLookups, [&](size_t i) {
     ProgramArtifactPtr artifact = cache.GetOrBuild(population[i % population.size()]);
     const MachineModel& machine = machines[(i / population.size()) % 2];
-    verdicts[i] = artifact->resource_verdict(machine).get();
+    verdicts[i] = artifact->resource_verdict(machine);
     legal[i] = artifact->statically_legal(&machine) ? 1 : 0;
   });
   for (size_t i = 0; i < kLookups; ++i) {
-    ASSERT_NE(verdicts[i], nullptr);
+    EXPECT_EQ(verdicts[i].verdict, VerifierVerdict::kPass);
     EXPECT_EQ(legal[i], 1);
-    // Same state + same machine ⇒ the same memoized verdict object, no matter
-    // which thread resolved it first.
+    // Same state + same machine ⇒ the same verdict, no matter which thread
+    // resolved it.
     size_t twin = i + population.size() * 2;
     if (twin < kLookups) {
-      EXPECT_EQ(verdicts[i], verdicts[twin]);
+      EXPECT_EQ(verdicts[i].verdict, verdicts[twin].verdict);
+      EXPECT_EQ(verdicts[i].diagnostics, verdicts[twin].diagnostics);
     }
   }
 }

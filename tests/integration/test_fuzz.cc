@@ -193,7 +193,7 @@ TEST_P(ArtifactFuzz, MutatedSnapshotsNeverAbort) {
         for (size_t c = 0; c < len; ++c) {
           bytes += static_cast<char>(rng.Int(0, 255));
         }
-        bytes = "ANSRART1" + bytes;
+        bytes = "ANSRART2" + bytes;
         break;
       }
     }
@@ -202,7 +202,7 @@ TEST_P(ArtifactFuzz, MutatedSnapshotsNeverAbort) {
     EXPECT_EQ(store.size(), stats.loaded);
     // Whatever survived must be coherent enough to warm a cache.
     ProgramCache warm(16, 1);
-    store.WarmCache(&warm, std::make_shared<const ComputeDAG>(dag));
+    store.WarmCache(&warm, dag.CanonicalHash());
   }
 }
 

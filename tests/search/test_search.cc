@@ -8,6 +8,7 @@
 #include "src/exec/interpreter.h"
 #include "src/search/search_policy.h"
 #include "src/workloads/operators.h"
+#include "src/workloads/suites.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -289,6 +290,25 @@ TEST(Baselines, VendorLibraryIsDeterministic) {
   TuneResult a = VendorLibrary(task, &measurer);
   TuneResult b = VendorLibrary(task, &measurer);
   EXPECT_DOUBLE_EQ(a.best_seconds, b.best_seconds);
+}
+
+// The vendor library's expert annotation must not vectorize a loop wider than
+// the machine's max_vector_extent, which the measurer rejects: on Fig. 6's
+// batch-16 C1D shapes the pad stage's innermost loop is 258 or 262 wide, and
+// every C1D shape must still get a valid program.
+TEST(Baselines, VendorLibraryFindsValidC1dAtBatch16) {
+  int c1d = 0;
+  for (const OpBenchCase& c : SingleOpSuite(16)) {
+    if (c.op != "C1D") {
+      continue;
+    }
+    ++c1d;
+    Measurer measurer(MachineModel::IntelCpu20Core());
+    TuneResult r = VendorLibrary(MakeTask(c.dag, c.shape), &measurer);
+    EXPECT_TRUE(std::isfinite(r.best_seconds)) << c.shape;
+    EXPECT_TRUE(r.best_state.has_value()) << c.shape;
+  }
+  EXPECT_EQ(c1d, 4);
 }
 
 TEST(Baselines, TemplateSearchRespectsBudgetAndFindsPrograms) {

@@ -1,5 +1,6 @@
-// ArtifactStore: snapshot capture/restore round trips, lazy warm artifacts,
-// and the zero-rebuild warm-start determinism contract.
+// ArtifactStore: snapshot capture/restore round trips, warm artifacts that
+// equal their cold builds, and the zero-rebuild warm-start determinism
+// contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,57 +92,67 @@ TEST(ArtifactStoreTest, WarmCacheServesEverythingWithoutRebuilds) {
   store.CaptureCache(cold, "");
 
   ProgramCache warm(64, 1);
-  EXPECT_EQ(store.WarmCache(&warm, dag), 3u);
+  EXPECT_EQ(store.WarmCache(&warm, dag->CanonicalHash()), 3u);
   EXPECT_EQ(warm.stats().warm_inserts, 3);
   EXPECT_EQ(warm.stats().lookups(), 0);  // warm inserts are not lookups
 
   for (const State& s : programs) {
-    ProgramArtifactPtr a = warm.GetOrBuild(s);
-    EXPECT_FALSE(a->materialized()) << "warm hit must not re-lower";
+    warm.GetOrBuild(s);
   }
   EXPECT_EQ(warm.stats().hits, 3);
   EXPECT_EQ(warm.stats().misses, 0);
 }
 
-TEST(ArtifactStoreTest, LazyMaterializationMatchesColdBuild) {
+// A warm artifact is the cold build: same report, summary, features and
+// resource verdicts, diagnostics included, on a machine every program fits
+// and on one none fits.
+TEST(ArtifactStoreTest, WarmArtifactMatchesColdBuild) {
   auto dag = SharedMatmul();
-  State state = SamplePrograms(dag.get())[0];
+  MachineModel tiny = MachineModel::IntelCpu20Core();
+  tiny.name = "tiny";
+  tiny.memory_capacity_bytes = 1024;  // no 16x16 matmul fits
+  const std::vector<MachineModel> machines = {MachineModel::IntelCpu20Core(), tiny};
+  std::vector<State> programs = SamplePrograms(dag.get());
   ProgramCache cold_cache(8, 1);
-  ProgramArtifactPtr cold = cold_cache.GetOrBuild(state);
-
+  for (const State& s : programs) {
+    cold_cache.GetOrBuild(s);
+  }
   ArtifactStore store;
   store.CaptureCache(cold_cache, "");
+  ArtifactStore restored;
+  ASSERT_TRUE(restored.Deserialize(store.Serialize()));
   ProgramCache warm_cache(8, 1);
-  ASSERT_EQ(store.WarmCache(&warm_cache, dag), 1u);
-  ProgramArtifactPtr warm = warm_cache.GetOrBuild(state);
+  ASSERT_EQ(restored.WarmCache(&warm_cache, dag->CanonicalHash()), programs.size());
 
-  // Everything the scoring/filtering path reads is served unmaterialized...
-  ASSERT_FALSE(warm->materialized());
-  EXPECT_EQ(warm->signature(), cold->signature());
-  EXPECT_TRUE(warm->features() == cold->features());
-  EXPECT_EQ(warm->statically_legal(), cold->statically_legal());
-  ASSERT_FALSE(warm->materialized());
-  // ...and on-demand materialization reproduces the cold build exactly.
-  EXPECT_EQ(warm->verifier_report().ToString(), cold->verifier_report().ToString());
-  EXPECT_TRUE(warm->materialized());
-  EXPECT_EQ(warm->verifier_report().legal(), cold->verifier_report().legal());
-}
-
-TEST(ArtifactStoreTest, ResourceVerdictsRestoreWithoutMaterializing) {
-  auto dag = SharedMatmul();
-  State state = SamplePrograms(dag.get())[0];
-  MachineModel machine = MachineModel::IntelCpu20Core();
-  ProgramCache cold_cache(8, 1);
-  ProgramArtifactPtr cold = cold_cache.GetOrBuild(state);
-  bool cold_passed = !cold->resource_verdict(machine)->failed();
-
-  ArtifactStore store;
-  store.CaptureCache(cold_cache, "");
-  ProgramCache warm_cache(8, 1);
-  store.WarmCache(&warm_cache, dag);
-  ProgramArtifactPtr warm = warm_cache.GetOrBuild(state);
-  EXPECT_EQ(!warm->resource_verdict(machine)->failed(), cold_passed);
-  EXPECT_FALSE(warm->materialized()) << "memoized verdict must not re-lower";
+  for (const State& s : programs) {
+    ProgramArtifactPtr cold = cold_cache.GetOrBuild(s);
+    ProgramArtifactPtr warm = warm_cache.GetOrBuild(s);
+    ASSERT_NE(cold.get(), warm.get());
+    EXPECT_EQ(warm->signature(), cold->signature());
+    EXPECT_EQ(warm->task_id(), cold->task_id());
+    EXPECT_EQ(warm->ok(), cold->ok());
+    EXPECT_TRUE(warm->features() == cold->features());
+    EXPECT_EQ(warm->verifier_report().ToString(), cold->verifier_report().ToString());
+    EXPECT_EQ(warm->statically_legal(), cold->statically_legal());
+    const ResourceSummary& want = cold->resource_summary();
+    const ResourceSummary& got = warm->resource_summary();
+    EXPECT_EQ(got.lowered, want.lowered);
+    EXPECT_EQ(got.footprint_bytes, want.footprint_bytes);
+    ASSERT_EQ(got.loops.size(), want.loops.size());
+    for (size_t i = 0; i < got.loops.size(); ++i) {
+      EXPECT_EQ(got.loops[i].stage, want.loops[i].stage);
+      EXPECT_EQ(got.loops[i].annotation, want.loops[i].annotation);
+      EXPECT_EQ(got.loops[i].extent, want.loops[i].extent);
+    }
+    for (const MachineModel& machine : machines) {
+      const CheckVerdict expected = cold->resource_verdict(machine);
+      const CheckVerdict restored_verdict = warm->resource_verdict(machine);
+      EXPECT_EQ(restored_verdict.verdict, expected.verdict) << machine.name;
+      EXPECT_EQ(restored_verdict.diagnostics, expected.diagnostics) << machine.name;
+      EXPECT_EQ(warm->statically_legal(&machine), cold->statically_legal(&machine));
+    }
+    EXPECT_TRUE(cold->resource_verdict(tiny).failed());
+  }
 }
 
 // The programs of the LowerGolden corpus (tests/lower/test_lower.cc): 12
@@ -175,8 +186,9 @@ std::vector<State> LowerGoldenCorpus(
 // artifact's resource_verdict must equal VerifyResources on a fresh lowering:
 // the verdict and every diagnostic, in order. Besides the LowerGolden corpus
 // the programs include a C1D l256c64k3 state whose vectorized pad loop has
-// extent 258, over both CPUs' register budgets: the violation the vendor
-// baseline's expert annotation makes on that workload.
+// extent 258, over both CPUs' register budgets (the violation an expert
+// annotation that ignores the register budget makes there), and a dense
+// state whose lowering fails, so its verdict is kSkipped on every machine.
 TEST(ArtifactStoreTest, ResourceVerdictsMatchVerifyResourcesOnLowerGoldenCorpus) {
   std::vector<std::shared_ptr<const ComputeDAG>> dags = {
       std::make_shared<const ComputeDAG>(testing::MatmulRelu(64, 64, 64)),
@@ -190,6 +202,11 @@ TEST(ArtifactStoreTest, ResourceVerdictsMatchVerifyResourcesOnLowerGoldenCorpus)
   const int pad_iters = static_cast<int>(expert.stage(expert.StageIndex("pad")).iters.size());
   ASSERT_TRUE(expert.Annotate("pad", pad_iters - 1, IterAnnotation::kVectorize));
   programs.push_back(expert);
+  dags.push_back(std::make_shared<const ComputeDAG>(MakeDense(16, 16, 16)));
+  State unlowerable(dags.back().get());
+  ASSERT_TRUE(unlowerable.ComputeAt("bias_relu", "dense", 0));
+  ASSERT_FALSE(Lower(unlowerable).ok);
+  programs.push_back(unlowerable);
 
   MachineModel narrow = MachineModel::NvidiaGpu();
   narrow.name = "narrow";
@@ -200,17 +217,28 @@ TEST(ArtifactStoreTest, ResourceVerdictsMatchVerifyResourcesOnLowerGoldenCorpus)
                                               MachineModel::ArmCpu4Core(),
                                               MachineModel::NvidiaGpu(), narrow};
 
-  // The store captures the cold cache before any resource verdict exists, so
-  // every warm verdict below is re-derived, not restored.
+  // One store captures the cold cache before any resource verdict is
+  // computed and one after every cold verdict is, so neither what a cold
+  // artifact was asked before capture nor the order of the asks can change
+  // what a warm artifact answers.
   ProgramCache cold_cache(1024, 1);
   for (const State& s : programs) {
     cold_cache.GetOrBuild(s);
   }
-  ArtifactStore store;
-  store.CaptureCache(cold_cache, "");
-  ProgramCache warm_cache(1024, 1);
+  ArtifactStore before;
+  before.CaptureCache(cold_cache, "");
+  for (const State& s : programs) {
+    for (const MachineModel& machine : machines) {
+      cold_cache.GetOrBuild(s)->resource_verdict(machine);
+    }
+  }
+  ArtifactStore after;
+  after.CaptureCache(cold_cache, "");
+  ProgramCache warm_before(1024, 1);
+  ProgramCache warm_after(1024, 1);
   for (const auto& dag : dags) {
-    store.WarmCache(&warm_cache, dag);
+    ASSERT_GT(before.WarmCache(&warm_before, dag->CanonicalHash()), 0u);
+    ASSERT_GT(after.WarmCache(&warm_after, dag->CanonicalHash()), 0u);
   }
 
   std::set<std::string> failed_on;
@@ -218,14 +246,16 @@ TEST(ArtifactStoreTest, ResourceVerdictsMatchVerifyResourcesOnLowerGoldenCorpus)
   for (const State& s : programs) {
     const LoweredProgram lowered = Lower(s);
     ProgramArtifactPtr cold = cold_cache.GetOrBuild(s);
-    ProgramArtifactPtr warm = warm_cache.GetOrBuild(s);
+    ProgramArtifactPtr warm = warm_before.GetOrBuild(s);
+    ProgramArtifactPtr rewarm = warm_after.GetOrBuild(s);
     ASSERT_NE(cold.get(), warm.get());
+    ASSERT_NE(cold.get(), rewarm.get());
     for (const MachineModel& machine : machines) {
       const CheckVerdict expected = VerifyResources(lowered, machine);
-      for (const ProgramArtifactPtr& artifact : {cold, warm}) {
-        std::shared_ptr<const CheckVerdict> got = artifact->resource_verdict(machine);
-        EXPECT_EQ(got->verdict, expected.verdict) << machine.name << "\n" << StepSignature(s);
-        EXPECT_EQ(got->diagnostics, expected.diagnostics) << machine.name;
+      for (const ProgramArtifactPtr& artifact : {cold, warm, rewarm}) {
+        const CheckVerdict got = artifact->resource_verdict(machine);
+        EXPECT_EQ(got.verdict, expected.verdict) << machine.name << "\n" << StepSignature(s);
+        EXPECT_EQ(got.diagnostics, expected.diagnostics) << machine.name;
       }
       if (expected.failed()) {
         failed_on.insert(machine.name);
@@ -240,7 +270,9 @@ TEST(ArtifactStoreTest, ResourceVerdictsMatchVerifyResourcesOnLowerGoldenCorpus)
         }
       }
     }
-    EXPECT_TRUE(warm->materialized());
+  }
+  for (const MachineModel& machine : machines) {
+    EXPECT_EQ(VerifyResources(Lower(unlowerable), machine).verdict, VerifierVerdict::kSkipped);
   }
   const CheckVerdict c1d = VerifyResources(Lower(expert), MachineModel::IntelCpu20Core());
   ASSERT_EQ(c1d.diagnostics.size(), 1u);
@@ -252,10 +284,9 @@ TEST(ArtifactStoreTest, ResourceVerdictsMatchVerifyResourcesOnLowerGoldenCorpus)
 }
 
 // Four pool threads read legality at once from shared cold and warm
-// artifacts: statically_legal(&machine) races on the resource memo and, on a
-// warm artifact, on the materialization that derives the summary it checks;
-// verifier_report() races on the same materialization. Every thread must see
-// what a serial build computes.
+// artifacts through statically_legal(&machine) and verifier_report(). The
+// artifacts are immutable, so the reads need no synchronization; every
+// thread must see what a serial build computes.
 TEST(ArtifactStoreTest, ConcurrentLegalityReadsOnSharedColdAndWarmArtifacts) {
   auto dag = SharedMatmul();
   std::vector<State> programs = SamplePrograms(dag.get());
@@ -267,10 +298,9 @@ TEST(ArtifactStoreTest, ConcurrentLegalityReadsOnSharedColdAndWarmArtifacts) {
   ArtifactStore store;
   store.CaptureCache(cold_cache, "");
   ProgramCache warm_cache(64, 1);
-  ASSERT_EQ(store.WarmCache(&warm_cache, dag), programs.size());
+  ASSERT_EQ(store.WarmCache(&warm_cache, dag->CanonicalHash()), programs.size());
   for (const State& s : programs) {
     shared.push_back(warm_cache.GetOrBuild(s));
-    ASSERT_FALSE(shared.back()->materialized());
   }
   MachineModel tiny = MachineModel::IntelCpu20Core();
   tiny.name = "tiny";
@@ -310,9 +340,6 @@ TEST(ArtifactStoreTest, ConcurrentLegalityReadsOnSharedColdAndWarmArtifacts) {
   }
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(seen[t], expected) << "thread " << t;
-  }
-  for (const ProgramArtifactPtr& a : shared) {
-    EXPECT_TRUE(a->materialized());
   }
 }
 
@@ -391,16 +418,15 @@ TEST(ArtifactStoreTest, CorruptionNeverCrashes) {
 }
 
 TEST(ArtifactStoreTest, CraftedHugeStepCountFailsCleanly) {
-  // One snapshot body claiming 2^28 steps in a 28-byte container: the count
+  // One snapshot body claiming 2^28 steps in a 27-byte container: the count
   // exceeds the bytes left, so the body is skipped before its step list is
   // sized, instead of aborting the process that warm-starts from it.
   ByteWriter body;
   body.PutU64(1);            // task id
   body.PutVarint(0);         // tag: string 0
-  body.PutU8(0);             // flags
   body.PutVarint(1u << 28);  // step count
   ByteWriter w;
-  w.PutRaw("ANSRART1", 8);
+  w.PutRaw("ANSRART2", 8);
   w.PutVarint(1);
   w.PutString("t");
   w.PutVarint(1);  // one snapshot
@@ -412,6 +438,99 @@ TEST(ArtifactStoreTest, CraftedHugeStepCountFailsCleanly) {
   EXPECT_EQ(stats.loaded, 0u);
   EXPECT_EQ(stats.skipped, 1u);
   EXPECT_EQ(store.size(), 0u);
+}
+
+// A container holding one snapshot body: task 1, tag "t", no steps, an empty
+// feature matrix, then `tail` (the verifier report and resource summary).
+std::string OneSnapshotContainer(const std::string& magic, const ByteWriter& tail) {
+  ByteWriter body;
+  body.PutU64(1);     // task id
+  body.PutVarint(0);  // tag: string 0
+  body.PutVarint(0);  // step count
+  body.PutVarint(0);  // feature dim
+  body.PutVarint(0);  // feature rows
+  body.PutRaw(tail.buffer().data(), tail.size());
+  ByteWriter w;
+  w.PutRaw(magic.data(), magic.size());
+  w.PutVarint(1);
+  w.PutString("t");
+  w.PutVarint(1);  // one snapshot
+  w.PutVarint(body.size());
+  w.PutRaw(body.buffer().data(), body.size());
+  return w.Take();
+}
+
+// Every verdict byte, annotation byte and count in a snapshot's report and
+// summary is checked before it is trusted: a verdict byte of 3, an annotation
+// past kVThread, and a diagnostic or loop count above the bytes left each
+// skip the snapshot. The well-formed control shows the layout the bad cases
+// perturb. A pre-report ANSRART1 payload is refused as a whole.
+TEST(ArtifactStoreTest, CraftedReportAndSummaryFieldsFailCleanly) {
+  // `verdict0`/`diagnostics0` fill the first check; the other four pass.
+  auto tail = [](uint8_t verdict0, uint64_t diagnostics0, uint8_t annotation,
+                 uint64_t num_loops) {
+    ByteWriter w;
+    w.PutU8(verdict0);
+    w.PutVarint(diagnostics0);
+    for (uint64_t i = 0; i < diagnostics0 && i < 8; ++i) {
+      w.PutVarint(0);  // diagnostic: string 0
+    }
+    for (int c = 1; c < kNumVerifierChecks; ++c) {
+      w.PutU8(static_cast<uint8_t>(VerifierVerdict::kPass));
+      w.PutVarint(0);
+    }
+    w.PutU8(1);          // lowered
+    w.PutZigzag(4096);   // footprint bytes
+    w.PutVarint(num_loops);
+    for (uint64_t i = 0; i < num_loops && i < 8; ++i) {
+      w.PutVarint(0);  // stage: string 0
+      w.PutU8(annotation);
+      w.PutZigzag(8);  // extent
+    }
+    return w;
+  };
+  const auto pass = static_cast<uint8_t>(VerifierVerdict::kPass);
+  const auto fail = static_cast<uint8_t>(VerifierVerdict::kFail);
+  const auto vectorize = static_cast<uint8_t>(IterAnnotation::kVectorize);
+  const auto past_last = static_cast<uint8_t>(static_cast<int>(IterAnnotation::kVThread) + 1);
+
+  ArtifactStore control;
+  ArtifactLoadStats loaded =
+      control.Deserialize(OneSnapshotContainer("ANSRART2", tail(fail, 1, vectorize, 1)));
+  ASSERT_TRUE(loaded.ok);
+  ASSERT_EQ(loaded.loaded, 1u);
+  ProgramCache cache(8, 1);
+  ASSERT_EQ(control.WarmCache(&cache, 1), 1u);
+  cache.ForEach([](const ProgramArtifactPtr& a) {
+    EXPECT_EQ(a->verifier_report().check(VerifierCheck::kLowering).diagnostics,
+              std::vector<std::string>{"t"});
+    EXPECT_FALSE(a->statically_legal());
+    ASSERT_EQ(a->resource_summary().loops.size(), 1u);
+    EXPECT_EQ(a->resource_summary().loops[0].annotation, IterAnnotation::kVectorize);
+    EXPECT_EQ(a->resource_summary().footprint_bytes, 4096);
+  });
+
+  const std::vector<std::pair<std::string, ByteWriter>> crafted = {
+      {"verdict byte 3", tail(3, 0, vectorize, 1)},
+      {"annotation past kVThread", tail(pass, 0, past_last, 1)},
+      {"diagnostic count above the bytes left", tail(fail, 1u << 20, vectorize, 1)},
+      {"loop count above the bytes left", tail(pass, 0, vectorize, 1u << 20)},
+  };
+  for (const auto& [name, bad] : crafted) {
+    ArtifactStore store;
+    ArtifactLoadStats stats = store.Deserialize(OneSnapshotContainer("ANSRART2", bad));
+    EXPECT_TRUE(stats.ok) << name;
+    EXPECT_EQ(stats.loaded, 0u) << name;
+    EXPECT_EQ(stats.skipped, 1u) << name;
+    EXPECT_EQ(store.size(), 0u) << name;
+  }
+
+  ArtifactStore old_format;
+  ArtifactLoadStats old_stats =
+      old_format.Deserialize(OneSnapshotContainer("ANSRART1", tail(pass, 0, vectorize, 1)));
+  EXPECT_FALSE(old_stats.ok);
+  EXPECT_EQ(old_stats.loaded, 0u);
+  EXPECT_EQ(old_format.size(), 0u);
 }
 
 // The warm-start determinism matrix: a search resumed from a snapshot of an
@@ -439,7 +558,7 @@ TEST(WarmStartDeterminism, ResumedRunIsBitIdenticalWithZeroRebuilds) {
   ASSERT_TRUE(restored.Deserialize(store.Serialize()));
   ProgramCache warm_cache(4096, 1);
   auto dag = std::make_shared<const ComputeDAG>(testing::Matmul(16, 16, 16));
-  ASSERT_GT(restored.WarmCache(&warm_cache, dag), 0u);
+  ASSERT_GT(restored.WarmCache(&warm_cache, dag->CanonicalHash()), 0u);
 
   TuneResult warm = run(&warm_cache);
   EXPECT_EQ(warm.best_seconds, cold.best_seconds);  // bit-identical
