@@ -79,8 +79,8 @@ ServiceRun RunService(const std::string& trace_file, const std::string& warm_sta
         !Written(service.SaveWarmState(save_warm_path), "warm state", save_warm_path)) {
       return run;
     }
-    // MetricsSnapshotJson refreshes the mirrored fleet gauges (shared
-    // caches, warm start, trace) before serializing.
+    // MetricsSnapshotJson reads the job reports, shared caches, warm start
+    // and trace sink at call time.
     if (!metrics_path.empty() &&
         !Written(ansor::WriteFileAtomic(metrics_path, service.MetricsSnapshotJson() + "\n"),
                  "metrics snapshot", metrics_path)) {

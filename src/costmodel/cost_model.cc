@@ -8,13 +8,6 @@
 
 namespace ansor {
 
-void CostModel::ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const {
-  registry->SetGauge(prefix + ".version", static_cast<double>(version()));
-  registry->SetGauge(prefix + ".train_calls", static_cast<double>(train_calls()));
-  registry->SetGauge(prefix + ".programs_predicted",
-                     static_cast<double>(programs_predicted()));
-}
-
 std::vector<double> CostModel::Predict(const std::vector<FeatureMatrix>& program_features) {
   std::vector<const FeatureMatrix*> programs;
   programs.reserve(program_features.size());
@@ -61,12 +54,6 @@ void GbdtCostModel::Update(uint64_t task_id,
   model_.Train(data_);
   CountTrain();
   BumpVersion();
-}
-
-void GbdtCostModel::ExportMetrics(MetricsRegistry* registry,
-                                  const std::string& prefix) const {
-  CostModel::ExportMetrics(registry, prefix);
-  registry->SetGauge(prefix + ".samples", static_cast<double>(num_samples()));
 }
 
 std::vector<double> GbdtCostModel::PredictBatch(

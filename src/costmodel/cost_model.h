@@ -35,7 +35,6 @@
 #include "src/costmodel/gbdt.h"
 #include "src/features/feature_extraction.h"
 #include "src/support/rng.h"
-#include "src/telemetry/metrics.h"
 
 namespace ansor {
 
@@ -94,9 +93,9 @@ class CostModel {
   virtual std::vector<std::vector<double>> PredictStatementsBatch(
       const std::vector<const FeatureMatrix*>& programs);
 
-  // Model generation: bumps on every Update that may change predictions,
-  // and is exported as the <prefix>.version gauge. A decorator that forwards
-  // to another model bumps its own version when the inner one moves.
+  // Model generation: bumps on every Update that may change predictions.
+  // A decorator that forwards to another model bumps its own version when
+  // the inner one moves.
   uint64_t version() const { return version_; }
 
   // Call-volume counters, incremented by implementations via CountTrain /
@@ -106,11 +105,6 @@ class CostModel {
   int64_t programs_predicted() const {
     return programs_predicted_.load(std::memory_order_relaxed);
   }
-
-  // Mirrors version/train/predict counters into `registry` as gauges named
-  // <prefix>.version / .train_calls / .programs_predicted. Subclasses extend
-  // (GbdtCostModel adds .samples).
-  virtual void ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const;
 
  protected:
   void BumpVersion() { ++version_; }
@@ -139,8 +133,6 @@ class GbdtCostModel : public CostModel {
   size_t num_samples() const { return labels_raw_.size(); }
   // The trained model (bench / introspection).
   const Gbdt& gbdt() const { return model_; }
-
-  void ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const override;
 
  private:
   GbdtParams params_;

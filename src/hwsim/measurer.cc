@@ -225,9 +225,4 @@ PendingMeasureBatch Measurer::SubmitBatch(std::vector<State> states, ThreadPool*
   return handle;
 }
 
-void Measurer::ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const {
-  registry->SetGauge(prefix + ".trials", static_cast<double>(trial_count()));
-  registry->SetGauge(prefix + ".verifications", static_cast<double>(verification_count()));
-}
-
 }  // namespace ansor

@@ -22,7 +22,6 @@
 
 #include "src/hwsim/simulator.h"
 #include "src/ir/state.h"
-#include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 
 namespace ansor {
@@ -142,10 +141,6 @@ class Measurer {
   // Number of measurements that were verified against naive execution
   // (observability for the verify_every cadence).
   int64_t verification_count() const { return verifications_.load(); }
-
-  // Mirrors the trial/verification counters into `registry` as gauges named
-  // <prefix>.trials / .verifications.
-  void ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const;
 
  private:
   friend class PendingMeasureBatch;  // batch items run through MeasureImpl

@@ -118,14 +118,6 @@ double TaskScheduler::NetworkLatency(int network_index) const {
 
 double TaskScheduler::ObjectiveValue() const { return EvalObjective(CurrentLatencies()); }
 
-SearchPhaseTimes TaskScheduler::AggregatePhaseTimes() const {
-  SearchPhaseTimes total;
-  for (const auto& tuner : tuners_) {
-    total.Add(tuner->phase_times());
-  }
-  return total;
-}
-
 double TaskScheduler::ObjectiveGradientWrtTask(int task_index,
                                                const std::vector<double>& latencies) const {
   double g = latencies[static_cast<size_t>(task_index)];

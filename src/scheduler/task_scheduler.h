@@ -68,11 +68,11 @@ struct TaskSchedulerOptions {
       per_task_search;
 };
 
-// The gradient allocation policy. Historically this class WAS the tuning
-// loop (Tune() below still is, for the legacy synchronous path); the
-// step-wise NextTask()/RecordRound() interface lets an external driver — the
-// TuningService — own the loop instead, running each round through the same
-// TaskTuner::TuneRound while this class only decides who runs next.
+// The gradient allocation policy. Tune() below runs the whole loop
+// synchronously; the step-wise NextTask()/RecordRound() interface lets an
+// external driver — the TuningService — own the loop instead, running each
+// round through the same TaskTuner::TuneRound while this class only decides
+// who runs next.
 //
 // RNG draw-order contract (pinned; enforced by the SchedulerGradient golden-
 // trace test): the warm-up pass consumes NO random draws — while any task
@@ -116,8 +116,6 @@ class TaskScheduler {
   // Task index of every allocated round, in order (the fixed-seed allocation
   // trace the determinism matrix and golden-trace tests compare).
   const std::vector<int>& allocation_trace() const { return allocation_trace_; }
-  // Sum of the per-task phase attribution clocks (see TaskTuner::phase_times()).
-  SearchPhaseTimes AggregatePhaseTimes() const;
   // (cumulative trials, objective value) after every allocation.
   const std::vector<std::pair<int64_t, double>>& history() const { return history_; }
 

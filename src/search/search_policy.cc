@@ -23,7 +23,7 @@ TaskTuner::TaskTuner(SearchTask task, Measurer* measurer, CostModel* model,
   if (options_.program_cache != nullptr) {
     cache_ = options_.program_cache;
   } else {
-    owned_cache_ = std::make_unique<ProgramCache>(options_.program_cache_capacity);
+    owned_cache_ = std::make_unique<ProgramCache>();
     cache_ = owned_cache_.get();
   }
   const int64_t t0 = clock_->NowNanos();

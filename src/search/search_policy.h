@@ -84,14 +84,12 @@ struct SearchOptions {
   ThreadPool* thread_pool = nullptr;
   // Compiled-program cache shared by every consumer of a tuning round
   // (evolution scoring, crossover, the pre-measurement filter,
-  // training-feature extraction). nullptr = the tuner creates its own task-lifetime cache
-  // with program_cache_capacity entries; inject one to observe its counters
-  // or to share artifacts across tasks. Results are invariant to the cache
-  // and its capacity (see the determinism tests).
+  // training-feature extraction). nullptr = the tuner creates its own
+  // task-lifetime cache of ProgramCache::kDefaultCapacity entries; inject one
+  // to observe its counters, to share artifacts across tasks, or to size it
+  // (capacity 0 compiles every program from scratch). Results are invariant
+  // to the cache and its capacity (see the determinism tests).
   ProgramCache* program_cache = nullptr;
-  // Capacity of the tuner-owned cache when program_cache is null. 0 disables
-  // caching entirely (every consumer compiles from scratch, as before PR 3).
-  size_t program_cache_capacity = ProgramCache::kDefaultCapacity;
   // Consumer id tagged onto every program-cache lookup this tuner makes
   // (evolution scoring, pre-measurement filter, training features) so a cache shared across tasks can attribute cross-task reuse
   // exactly (ProgramCache::ClientStats). 0 = anonymous. The TuningService
@@ -222,8 +220,7 @@ class TaskTuner {
   // TuneRound only; drivers of the step-wise interface time their own waits.
   const SearchPhaseTimes& phase_times() const { return phase_times_; }
   // EvolutionStats summed over every PlanRound this tuner ran (the per-call
-  // stats are reset by each Evolve; this is the round-spanning mirror the
-  // metrics registry snapshots).
+  // stats are reset by each Evolve, so round-spanning totals live here).
   const EvolutionStats& evolution_stats() const { return evolution_stats_; }
   // Re-attributes subsequent spans (round/parent change): the service driver
   // points this at the current round's span before running it.

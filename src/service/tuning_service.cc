@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 
 namespace ansor {
 
@@ -16,6 +17,58 @@ const char* JobStatusName(JobStatus s) {
   }
   return "unknown";
 }
+
+namespace {
+
+// One entry of the metrics snapshot. Counters and gauges carry `value`;
+// histograms carry their observations in `samples`.
+struct MetricRow {
+  enum class Kind { kCounter, kGauge, kHistogram };
+  Kind kind;
+  const char* name;
+  const char* unit;
+  double value = 0.0;
+  std::vector<double> samples;
+};
+
+// Nearest-rank quantile of ascending `sorted`: the value at 1-based rank
+// ceil(q * n), at least 1. 0 when empty.
+double NearestRank(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) {
+    return 0.0;
+  }
+  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::min(std::max<size_t>(rank, 1), sorted.size()) - 1];
+}
+
+// Serializes `rows` into the snapshot's three sections, each in row order.
+std::string MetricsJson(std::vector<MetricRow> rows) {
+  std::string sections[3];
+  for (MetricRow& row : rows) {
+    std::string& out = sections[static_cast<int>(row.kind)];
+    out += out.empty() ? "{\"name\":" : ",{\"name\":";
+    out += JsonString(row.name);
+    if (row.kind != MetricRow::Kind::kHistogram) {
+      out += ",\"value\":" + JsonNumber(row.value) + ",\"unit\":" + JsonString(row.unit) + "}";
+      continue;
+    }
+    std::vector<double>& v = row.samples;
+    std::sort(v.begin(), v.end());
+    const double sum = std::accumulate(v.begin(), v.end(), 0.0);
+    const double n = static_cast<double>(v.size());
+    out += ",\"unit\":" + JsonString(row.unit) + ",\"count\":" + JsonNumber(n) +
+           ",\"sum\":" + JsonNumber(sum) + ",\"mean\":" + JsonNumber(v.empty() ? 0.0 : sum / n) +
+           ",\"min\":" + JsonNumber(v.empty() ? 0.0 : v.front()) +
+           ",\"max\":" + JsonNumber(v.empty() ? 0.0 : v.back()) +
+           ",\"p50\":" + JsonNumber(NearestRank(v, 0.50)) +
+           ",\"p95\":" + JsonNumber(NearestRank(v, 0.95)) +
+           ",\"p99\":" + JsonNumber(NearestRank(v, 0.99)) + "}";
+  }
+  return "{\"counters\":[" + sections[0] + "],\"gauges\":[" + sections[1] +
+         "],\"histograms\":[" + sections[2] + "]}";
+}
+
+}  // namespace
 
 // Internal per-job state, jointly owned by the service and every JobHandle.
 struct JobState {
@@ -151,7 +204,6 @@ JobHandle TuningService::Submit(JobSpec spec) {
     queue_.push_back(job);
     jobs_.push_back(job);
   }
-  metrics_.AddCounter("service.jobs_submitted", 1, "jobs");
   cv_.notify_one();
   JobHandle handle;
   handle.state_ = std::move(job);
@@ -264,7 +316,7 @@ void TuningService::RunJob(JobState* job) {
     double after = tuner->TuneRound(spec.options.measures_per_round, deadline_nanos);
     scheduler.RecordRound(pick, before, after);
     ++rounds;
-    metrics_.AddCounter("service.rounds_completed", 1, "rounds");
+    rounds_completed_.fetch_add(1, std::memory_order_relaxed);
     if (past_deadline()) {
       deadline_hit = true;
       break;
@@ -288,6 +340,7 @@ void TuningService::RunJob(JobState* job) {
     report.trials_invalid += tuner.invalid_measures();
     report.trials_cancelled += tuner.cancelled_measures();
     report.best_seconds.push_back(tuner.best_seconds());
+    report.phases.Add(tuner.phase_times());
     ProgramCacheClientStats cs = tuner.program_cache().ClientStats(client_ids[i]);
     report.cache.lookups += cs.lookups;
     report.cache.hits += cs.hits;
@@ -299,24 +352,11 @@ void TuningService::RunJob(JobState* job) {
     }
   }
   report.trials_valid = report.trials - report.trials_invalid;
-  report.phases = scheduler.AggregatePhaseTimes();
   // All three from the same three clock readings; turnaround is computed as
   // the sum so the identity holds exactly in double arithmetic too.
   report.queue_seconds = SecondsBetween(job->submit_nanos, start_nanos);
   report.run_seconds = SecondsBetween(start_nanos, end_nanos);
   report.turnaround_seconds = report.queue_seconds + report.run_seconds;
-
-  metrics_.AddCounter("service.jobs_finished", 1, "jobs");
-  metrics_.AddCounter("service.trials", report.trials, "trials");
-  metrics_.AddCounter("service.trials_invalid", report.trials_invalid, "trials");
-  metrics_.AddCounter("service.trials_cancelled", report.trials_cancelled, "trials");
-  metrics_.histogram("job.queue_seconds")->Observe(report.queue_seconds);
-  metrics_.histogram("job.run_seconds")->Observe(report.run_seconds);
-  metrics_.histogram("job.turnaround_seconds")->Observe(report.turnaround_seconds);
-  // Mirror the borrowed components the job used (idempotent gauge sets;
-  // jobs sharing a measurer/model just refresh the same gauges).
-  spec.measurer->ExportMetrics(&metrics_, "measurer");
-  spec.model->ExportMetrics(&metrics_, "model");
 
   if (job_span.enabled()) {
     job_span.Arg("rounds", static_cast<int64_t>(rounds));
@@ -353,30 +393,72 @@ void TuningService::Shutdown() {
   drivers_.clear();
 }
 
-std::string TuningService::MetricsSnapshotJson() {
-  // Refresh the mirrored component gauges; the live counters/histograms
-  // update in place as jobs run and need no refresh.
-  metrics_.SetGauge("service.shared_caches", static_cast<double>(shared_cache_count()),
-                    "caches");
-  ProgramCacheStats cache = SharedCacheStats();
-  metrics_.SetGauge("service.shared_cache.hits", static_cast<double>(cache.hits));
-  metrics_.SetGauge("service.shared_cache.misses", static_cast<double>(cache.misses));
-  metrics_.SetGauge("service.shared_cache.evictions",
-                    static_cast<double>(cache.evictions));
-  metrics_.SetGauge("service.shared_cache.cross_client_hits",
-                    static_cast<double>(cache.cross_client_hits));
-  metrics_.SetGauge("service.shared_cache.warm_inserts",
-                    static_cast<double>(cache.warm_inserts));
-  metrics_.SetGauge("service.warm_start.loaded",
-                    static_cast<double>(warm_start_stats_.loaded), "artifacts");
+std::string TuningService::MetricsSnapshotJson() const {
+  std::vector<std::shared_ptr<JobState>> jobs;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    jobs = jobs_;
+  }
+  // Each report is read under its own job's lock with mu_ released, as
+  // WaitAll does, so a snapshot never holds both.
+  int64_t finished = 0, trials = 0, trials_invalid = 0, trials_cancelled = 0;
+  std::vector<double> queue, run, turnaround;
+  for (const auto& job : jobs) {
+    std::lock_guard<std::mutex> lock(job->mu);
+    if (!IsTerminal(job->status)) {
+      continue;
+    }
+    const JobReport& r = job->report;
+    ++finished;
+    trials += r.trials;
+    trials_invalid += r.trials_invalid;
+    trials_cancelled += r.trials_cancelled;
+    queue.push_back(r.queue_seconds);
+    run.push_back(r.run_seconds);
+    turnaround.push_back(r.turnaround_seconds);
+  }
+  const ProgramCacheStats cache = SharedCacheStats();
+
+  using Kind = MetricRow::Kind;
+  std::vector<MetricRow> rows;
+  auto add = [&rows](Kind kind, const char* name, const char* unit, double value,
+                     std::vector<double> samples = {}) {
+    rows.push_back(MetricRow{kind, name, unit, value, std::move(samples)});
+  };
+  add(Kind::kCounter, "service.jobs_submitted", "jobs", static_cast<double>(jobs.size()));
+  add(Kind::kCounter, "service.rounds_completed", "rounds",
+      static_cast<double>(rounds_completed_.load(std::memory_order_relaxed)));
+  add(Kind::kCounter, "service.jobs_finished", "jobs", static_cast<double>(finished));
+  add(Kind::kCounter, "service.trials", "trials", static_cast<double>(trials));
+  add(Kind::kCounter, "service.trials_invalid", "trials", static_cast<double>(trials_invalid));
+  add(Kind::kCounter, "service.trials_cancelled", "trials",
+      static_cast<double>(trials_cancelled));
+  add(Kind::kGauge, "service.shared_caches", "caches", static_cast<double>(shared_cache_count()));
+  add(Kind::kGauge, "service.shared_cache.hits", "count", static_cast<double>(cache.hits));
+  add(Kind::kGauge, "service.shared_cache.misses", "count", static_cast<double>(cache.misses));
+  add(Kind::kGauge, "service.shared_cache.evictions", "count",
+      static_cast<double>(cache.evictions));
+  add(Kind::kGauge, "service.shared_cache.cross_client_hits", "count",
+      static_cast<double>(cache.cross_client_hits));
+  add(Kind::kGauge, "service.shared_cache.warm_inserts", "count",
+      static_cast<double>(cache.warm_inserts));
+  add(Kind::kGauge, "service.warm_start.loaded", "artifacts",
+      static_cast<double>(warm_start_stats_.loaded));
   if (options_.record_store != nullptr) {
-    options_.record_store->ExportMetrics(&metrics_, "store");
+    const RecordStoreStats s = options_.record_store->stats();
+    add(Kind::kGauge, "store.appended", "count", static_cast<double>(s.appended));
+    add(Kind::kGauge, "store.deduplicated", "count", static_cast<double>(s.deduplicated));
+    add(Kind::kGauge, "store.improved", "count", static_cast<double>(s.improved));
+    add(Kind::kGauge, "store.size", "count",
+        static_cast<double>(options_.record_store->size()));
   }
   if (options_.trace_sink != nullptr) {
-    metrics_.SetGauge("trace.spans", static_cast<double>(options_.trace_sink->size()),
-                      "spans");
+    add(Kind::kGauge, "trace.spans", "spans", static_cast<double>(options_.trace_sink->size()));
   }
-  return metrics_.ToJson();
+  add(Kind::kHistogram, "job.queue_seconds", "seconds", 0.0, std::move(queue));
+  add(Kind::kHistogram, "job.run_seconds", "seconds", 0.0, std::move(run));
+  add(Kind::kHistogram, "job.turnaround_seconds", "seconds", 0.0, std::move(turnaround));
+  return MetricsJson(std::move(rows));
 }
 
 ProgramCacheStats TuningService::SharedCacheStats() const {

@@ -1,20 +1,18 @@
 // Tuning-as-a-service: a long-lived, multi-tenant scheduling core.
 //
-// The legacy entry point (TaskScheduler::Tune) tunes one job at a time and
-// only one Objective can exist at a time. The TuningService rebuilds that
-// stack as a service: callers Submit() any number of concurrent jobs — each
-// with its own tasks, Objective, trial budget, and deadline — and the
-// service drives them over one shared worker pool. Each job's round is the
-// same TaskTuner::TuneRound every driver runs (plan, measure, commit); the
-// win is across jobs: while one job's measurement batch occupies the pool
-// (or sleeps out its emulated device latency), other jobs' drivers keep
-// searching on the same workers (ParallelFor caller participation
-// guarantees progress even on a saturated pool).
+// Callers Submit() any number of concurrent jobs — each with its own tasks,
+// Objective, trial budget, and deadline — and the service drives them over
+// one shared worker pool. Each job's round is the same TaskTuner::TuneRound
+// every driver runs (plan, measure, commit); the win is across jobs: while
+// one job's measurement batch occupies the pool (or sleeps out its emulated
+// device latency), other jobs' drivers keep searching on the same workers
+// (ParallelFor caller participation guarantees progress even on a saturated
+// pool).
 //
 // Determinism contract (enforced by the TuningService matrix tests): a job's
 // results are a pure function of its spec. Fixed seeds give bit-identical
 // per-task best latencies and allocation traces for any worker count, any
-// max_concurrent_jobs, and any co-tenant jobs — and identical to the legacy
+// max_concurrent_jobs, and any co-tenant jobs — and identical to the
 // synchronous TaskScheduler::Tune (both run NextTask → TaskTuner::TuneRound
 // → RecordRound). Shared caches cannot break this: artifacts are pure
 // functions of (DAG, steps).
@@ -45,7 +43,6 @@
 
 #include "src/scheduler/task_scheduler.h"
 #include "src/store/artifact_store.h"
-#include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 
 namespace ansor {
@@ -164,9 +161,9 @@ struct TuningServiceOptions {
   // Shared worker pool backing every job's search and measurement.
   // 0 = hardware concurrency. Results are invariant to this.
   int num_workers = 0;
-  // Jobs driven concurrently; the rest queue FIFO. 1 reproduces the legacy
-  // one-job-at-a-time fleet behavior (and each job is bit-identical to
-  // TaskScheduler::Tune regardless). Results are invariant to this.
+  // Jobs driven concurrently; the rest queue FIFO. 1 runs one job at a time
+  // (and each job is bit-identical to TaskScheduler::Tune regardless).
+  // Results are invariant to this.
   int max_concurrent_jobs = 1;
   // Fleet-wide record store: when set, every job's valid measurements are
   // appended here (deduplicated by signature, attributed per (job, task)
@@ -227,15 +224,18 @@ class TuningService {
   const ArtifactLoadStats& warm_start_stats() const { return warm_start_stats_; }
 
   // Telemetry -----------------------------------------------------------------
-  // The service-owned metrics registry. Live counters/histograms (job and
-  // round counts, turnaround/queue distributions) update as jobs run; the
-  // component gauges (caches, record store, scheduler aggregates) are
-  // mirrored in by MetricsSnapshotJson.
-  MetricsRegistry* metrics() { return &metrics_; }
-  // Refreshes every mirrored component gauge (shared caches, record store,
-  // warm-start stats) and serializes the whole fleet state as one JSON
-  // object.
-  std::string MetricsSnapshotJson();
+  // The fleet state as one JSON object,
+  //   {"counters":[{"name","value","unit"}...],
+  //    "gauges":[{"name","value","unit"}...],
+  //    "histograms":[{"name","unit","count","sum","mean","min","max",
+  //                   "p50","p95","p99"}...]},
+  // in a fixed order (README lists every entry). It is built at call time
+  // from what the service owns — the job reports, the round count, the
+  // shared caches, the warm-start stats — and from the record store and
+  // trace sink, which outlive the service by contract; never from a job's
+  // borrowed measurer or model. Histogram quantiles are exact nearest-rank
+  // values over the terminal jobs. Safe to call while jobs run.
+  std::string MetricsSnapshotJson() const;
   // The borrowed options.trace_sink, or nullptr when tracing is off.
   TraceSink* trace_sink() const { return options_.trace_sink; }
   // The clock all job timings derive from (options.clock or the real one).
@@ -252,13 +252,9 @@ class TuningService {
                     const Tracer* tracer = nullptr);
 
   TuningServiceOptions options_;
-  // Telemetry: the single clock and the fleet metrics registry (internally
-  // synchronized; no mu_ needed). Declared before workers_ so they outlive
-  // the pool: ~ThreadPool joins every worker thread before the registry a
-  // lagging round might touch dies. The trace sink and a borrowed clock are
-  // the caller's, and outlive the service by contract.
+  // The single clock every job timing derives from. The trace sink and a
+  // borrowed clock are the caller's, and outlive the service by contract.
   MonotonicClock* clock_;
-  MetricsRegistry metrics_;
   ThreadPool workers_;
   mutable std::mutex mu_;  // queue, job list, tag caches, shutdown flag
   std::condition_variable cv_;
@@ -272,6 +268,9 @@ class TuningService {
   std::unordered_map<ProgramCache*, std::unordered_set<uint64_t>> warmed_;
   std::atomic<uint64_t> next_client_id_{1};
   std::atomic<int64_t> next_job_id_{1};
+  // Rounds finished across every job, terminal or not: the snapshot's only
+  // live counter.
+  std::atomic<int64_t> rounds_completed_{0};
   bool shutdown_ = false;
   std::vector<std::thread> drivers_;
 };

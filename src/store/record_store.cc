@@ -322,14 +322,6 @@ RecordClientStats RecordStore::ClientStatsFor(uint64_t client_id) const {
   return it != client_stats_.end() ? it->second : RecordClientStats();
 }
 
-void RecordStore::ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const {
-  RecordStoreStats s = stats();
-  registry->SetGauge(prefix + ".appended", static_cast<double>(s.appended));
-  registry->SetGauge(prefix + ".deduplicated", static_cast<double>(s.deduplicated));
-  registry->SetGauge(prefix + ".improved", static_cast<double>(s.improved));
-  registry->SetGauge(prefix + ".size", static_cast<double>(size()));
-}
-
 std::string RecordStore::Serialize() const {
   return EncodeBinary(Snapshot());
 }

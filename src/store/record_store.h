@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "src/ir/state.h"
-#include "src/telemetry/metrics.h"
 
 namespace ansor {
 
@@ -95,10 +94,6 @@ class RecordStore {
 
   RecordStoreStats stats() const;
   RecordClientStats ClientStatsFor(uint64_t client_id) const;
-
-  // Mirrors the current counters into `registry` as gauges named
-  // <prefix>.appended / .deduplicated / .improved / .size.
-  void ExportMetrics(MetricsRegistry* registry, const std::string& prefix) const;
 
   // --- Persistence -----------------------------------------------------------
 

@@ -7,9 +7,46 @@
 #include <sstream>
 
 #include "src/support/util.h"
-#include "src/telemetry/metrics.h"
 
 namespace ansor {
+
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "0";
+  // Range check first: double->int64 conversion of a value outside int64's
+  // range is UB, so the cast may only run once fabs(v) admits it.
+  if (std::fabs(v) < 1e15 && v == static_cast<int64_t>(v)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    return buf;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+std::string JsonString(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 namespace {
 

@@ -38,6 +38,14 @@
 
 namespace ansor {
 
+// `s` as a quoted JSON string literal: quotes, backslashes and every control
+// byte below 0x20 are escaped. Shared by the trace writer and the service's
+// metrics snapshot.
+std::string JsonString(const std::string& s);
+// `v` as a JSON number: integral values below 1e15 print every digit, others
+// print as %.9g, and non-finite values (which JSON cannot hold) print as 0.
+std::string JsonNumber(double v);
+
 struct TraceEvent {
   std::string name;
   std::string category;

@@ -237,7 +237,8 @@ TEST(ProgramCacheDeterminism, TuneTaskThreadAndCapacityMatrix) {
     SearchTask task = MakeSearchTask("t", testing::Matmul(64, 64, 64));
     SearchOptions options = testing::SmallSearchOptions();
     options.thread_pool = &pool;
-    options.program_cache_capacity = capacity;
+    ProgramCache cache(capacity);
+    options.program_cache = &cache;
     options.verify_level = verify_level;
     return TuneTask(task, &measurer, &model, /*trials=*/24, 8, options);
   };

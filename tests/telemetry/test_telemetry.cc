@@ -1,123 +1,20 @@
-// Telemetry core tests: histogram bucket/quantile correctness, lock-cheap
-// registry behavior under concurrent writers (the tsan target), span
-// parent/child nesting, the JSONL trace round trip, and interrupted trace
-// saves.
+// Telemetry core tests: the fake clock, span parent/child nesting, the JSONL
+// trace round trip and its escaping, interrupted trace saves, and the trace
+// fold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/telemetry/clock.h"
-#include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 #include "src/telemetry/trace_report.h"
 #include "tests/testing.h"
 
 namespace ansor {
 namespace {
-
-TEST(TelemetryHistogram, BucketIndexCoversPowersOfTwo) {
-  // Bucket kBias covers [1, 2): the anchor the whole layout derives from.
-  EXPECT_EQ(Histogram::BucketIndex(1.0), Histogram::kBias);
-  EXPECT_EQ(Histogram::BucketIndex(1.999), Histogram::kBias);
-  EXPECT_EQ(Histogram::BucketIndex(2.0), Histogram::kBias + 1);
-  EXPECT_EQ(Histogram::BucketIndex(0.5), Histogram::kBias - 1);
-  // Nonpositive values land in bucket 0 by contract.
-  EXPECT_EQ(Histogram::BucketIndex(0.0), 0);
-  EXPECT_EQ(Histogram::BucketIndex(-3.5), 0);
-  // Every bucket's lower bound maps back to its own index.
-  for (int b = 8; b < Histogram::kBuckets - 1; ++b) {
-    double lo = Histogram::BucketLowerBound(b);
-    EXPECT_EQ(Histogram::BucketIndex(lo), b) << "bucket " << b << " lo " << lo;
-  }
-}
-
-TEST(TelemetryHistogram, ExactAggregatesAndBucketResolutionQuantiles) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-
-  std::vector<double> values;
-  for (int i = 1; i <= 100; ++i) {
-    values.push_back(static_cast<double>(i));  // 1..100
-    h.Observe(values.back());
-  }
-  EXPECT_EQ(h.count(), 100);
-  EXPECT_DOUBLE_EQ(h.sum(), 5050.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-
-  // Power-of-two buckets: quantile estimates carry at most one octave of
-  // relative error around the true order statistic.
-  double p50 = h.Quantile(0.50);
-  EXPECT_GE(p50, 32.0);
-  EXPECT_LE(p50, 64.0);
-  double p95 = h.Quantile(0.95);
-  EXPECT_GE(p95, 64.0);
-  EXPECT_LE(p95, 100.0);  // clamped to the exact max
-  EXPECT_LE(h.Quantile(0.99), 100.0);
-  // q=0 -> rank 1 lands in the min's bucket [1, 2).
-  EXPECT_GE(h.Quantile(0.0), 1.0);
-  EXPECT_LE(h.Quantile(0.0), 2.0);
-}
-
-TEST(TelemetryHistogram, QuantileClampsToExactMinMax) {
-  Histogram h;
-  h.Observe(3.7);
-  h.Observe(3.9);
-  // Both land in [2, 4); the geometric midpoint would be sqrt(8) = 2.83,
-  // below the true min — the clamp keeps estimates inside [min, max].
-  EXPECT_GE(h.Quantile(0.5), 3.7);
-  EXPECT_LE(h.Quantile(0.99), 3.9);
-}
-
-TEST(TelemetryMetrics, RegistrationReturnsStablePointersAndFixedUnits) {
-  MetricsRegistry registry;
-  Counter* c = registry.counter("trials", "trials");
-  c->Add(3);
-  // Same name: same object, unit fixed at creation.
-  EXPECT_EQ(registry.counter("trials", "ignored"), c);
-  EXPECT_EQ(c->value(), 3);
-
-  registry.SetGauge("best_seconds", 0.125, "seconds");
-  EXPECT_DOUBLE_EQ(registry.gauge("best_seconds")->value(), 0.125);
-
-  std::string json = registry.ToJson();
-  EXPECT_NE(json.find("\"trials\""), std::string::npos);
-  EXPECT_NE(json.find("\"best_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-}
-
-TEST(TelemetryMetrics, ConcurrentCounterIncrementsAreExact) {
-  MetricsRegistry registry;
-  Counter* counter = registry.counter("hits");
-  Histogram* hist = registry.histogram("obs");
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        counter->Add(1);
-        hist->Observe(static_cast<double>(t + 1));
-        registry.gauge("last")->Set(static_cast<double>(i));
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(counter->value(), kThreads * kPerThread);
-  EXPECT_EQ(hist->count(), kThreads * kPerThread);
-  EXPECT_DOUBLE_EQ(hist->min(), 1.0);
-  EXPECT_DOUBLE_EQ(hist->max(), static_cast<double>(kThreads));
-}
 
 TEST(TelemetryClock, FakeClockAdvancesDeterministically) {
   FakeClock clock(1000, 10);
