@@ -15,9 +15,8 @@ int main() {
   ansor::SketchRule deep_reduction;
   deep_reduction.name = "DeepReductionTiling";
   deep_reduction.exclusive = false;  // branches alongside the built-in rules
-  deep_reduction.condition = [](const ansor::State& state, int i,
-                                const ansor::AnalysisConfig& config) {
-    return ansor::HasDataReuse(state, i, config) &&
+  deep_reduction.condition = [](const ansor::State& state, int i) {
+    return ansor::HasDataReuse(state, i) &&
            ansor::ReductionDomainSize(state.stage(i)) >= 256;
   };
   deep_reduction.apply = [](const ansor::State& state, int i) {

@@ -5,6 +5,15 @@
 namespace ansor {
 namespace {
 
+// HasDataReuse: minimum reduction-domain size for "plentiful data reuse".
+constexpr int64_t kMinReuseReduction = 2;
+// HasMoreReductionParallel: space parallelism at most this and ...
+constexpr int64_t kMaxSpaceForRfactor = 256;
+// ... reduction domain at least this many times larger than the space domain
+// (paper: "little parallelism in space dimensions but ample parallelism in
+// reduction dimensions", e.g. 2-norm, C_2x2 = A_2x512 B_512x2).
+constexpr int64_t kMinReductionSpaceRatio = 16;
+
 // True when every load in the body indexes purely with the op's own axis
 // variables, in order (identity access).
 bool AllLoadsIdentity(const OperationRef& op) {
@@ -78,12 +87,12 @@ bool IsStrictInlinable(const State& state, int stage_idx) {
   return !consumers[static_cast<size_t>(stage_idx)].empty();
 }
 
-bool HasDataReuse(const State& state, int stage_idx, const AnalysisConfig& config) {
+bool HasDataReuse(const State& state, int stage_idx) {
   const Stage& s = state.stage(stage_idx);
   if (s.op->kind != OpKind::kCompute) {
     return false;
   }
-  return ReductionDomainSize(s) >= config.min_reuse_reduction;
+  return ReductionDomainSize(s) >= kMinReuseReduction;
 }
 
 bool HasFusibleConsumer(const State& state, int stage_idx, int* consumer) {
@@ -119,16 +128,14 @@ bool HasFusibleConsumer(const State& state, int stage_idx, int* consumer) {
   return true;
 }
 
-bool HasMoreReductionParallel(const State& state, int stage_idx,
-                              const AnalysisConfig& config) {
+bool HasMoreReductionParallel(const State& state, int stage_idx) {
   const Stage& s = state.stage(stage_idx);
   if (s.op->kind != OpKind::kCompute) {
     return false;
   }
   int64_t space = SpaceDomainSize(s);
   int64_t reduction = ReductionDomainSize(s);
-  return space <= config.max_space_for_rfactor &&
-         reduction >= space * config.min_reduction_space_ratio;
+  return space <= kMaxSpaceForRfactor && reduction >= space * kMinReductionSpaceRatio;
 }
 
 }  // namespace ansor

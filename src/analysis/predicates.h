@@ -12,18 +12,6 @@
 
 namespace ansor {
 
-// Tunable thresholds for the heuristic predicates.
-struct AnalysisConfig {
-  // HasDataReuse: minimum reduction-domain size for "plentiful data reuse".
-  int64_t min_reuse_reduction = 2;
-  // HasMoreReductionParallel: space parallelism below this and ...
-  int64_t max_space_for_rfactor = 256;
-  // ... reduction domain at least this many times larger than the space
-  // domain (paper: "little parallelism in space dimensions but ample
-  // parallelism in reduction dimensions", e.g. 2-norm, C_2x2 = A_2x512 B_512x2).
-  int64_t min_reduction_space_ratio = 16;
-};
-
 // Consumer stage indices for each stage in the state's current DAG view
 // (which may contain cache/rfactor stages absent from the original DAG).
 // Inlined stages do not count as consumers.
@@ -36,8 +24,7 @@ bool IsStrictInlinable(const State& state, int stage_idx);
 
 // The node is compute-intensive with plentiful data-reuse opportunity
 // (matmul, conv2d): it has a reduction domain of meaningful size.
-bool HasDataReuse(const State& state, int stage_idx,
-                  const AnalysisConfig& config = AnalysisConfig());
+bool HasDataReuse(const State& state, int stage_idx);
 
 // The node has exactly one consumer, and that consumer reads it with identity
 // indices so it can be fused (matmul + bias_add, conv2d + relu). Returns the
@@ -46,8 +33,7 @@ bool HasFusibleConsumer(const State& state, int stage_idx, int* consumer = nullp
 
 // Little space parallelism but ample reduction parallelism (matrix 2-norm,
 // tall-skinny matmul): rfactor candidates.
-bool HasMoreReductionParallel(const State& state, int stage_idx,
-                              const AnalysisConfig& config = AnalysisConfig());
+bool HasMoreReductionParallel(const State& state, int stage_idx);
 
 // Space / reduction domain sizes of a stage's op.
 int64_t SpaceDomainSize(const Stage& stage);

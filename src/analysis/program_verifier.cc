@@ -388,12 +388,4 @@ CheckVerdict VerifyResources(const LoweredProgram& program, const MachineModel& 
   return VerifyResources(SummarizeResources(program), machine, tracer);
 }
 
-int EffectiveVerifyLevel(int configured) {
-  static const bool invariants = EnvInt("ANSOR_CHECK_INVARIANTS", 0) != 0;
-  if (invariants && configured < 2) {
-    return 2;
-  }
-  return configured;
-}
-
 }  // namespace ansor

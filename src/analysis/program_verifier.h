@@ -141,13 +141,6 @@ CheckVerdict VerifyResources(const ResourceSummary& summary, const MachineModel&
 CheckVerdict VerifyResources(const LoweredProgram& program, const MachineModel& machine,
                              const Tracer* tracer = nullptr);
 
-// Resolves the effective verification level: the configured level, raised to
-// at least 2 (invariant mode) when the ANSOR_CHECK_INVARIANTS environment
-// variable is set to a non-zero value. Levels: 0 = off, 1 = statically
-// illegal candidates are filtered before measurement, 2 = additionally every
-// accepted mutation/crossover child is verified at construction site.
-int EffectiveVerifyLevel(int configured);
-
 }  // namespace ansor
 
 #endif  // ANSOR_SRC_ANALYSIS_PROGRAM_VERIFIER_H_

@@ -285,14 +285,14 @@ TuneResult BeamSearch(const SearchTask& task, Measurer* measurer, CostModel* mod
         }
         active = true;
         for (const SketchRule& rule : rules) {
-          if (!rule.condition(state, i, AnalysisConfig())) {
+          if (!rule.condition(state, i)) {
             continue;
           }
           for (auto& [next, next_i] : rule.apply(state, i)) {
             // Make the decisions for this node concrete immediately: sample
             // tile sizes for the freshly added pending splits.
             for (int e = 0; e < options.expansions_per_state; ++e) {
-              State filled = SampleTileSizes(next, task.dag.get(), &rng, options.sampler);
+              State filled = SampleTileSizes(next, task.dag.get(), &rng);
               if (!filled.failed()) {
                 expanded.emplace_back(std::move(filled), next_i);
               }

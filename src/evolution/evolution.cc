@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/analysis/program_verifier.h"
 #include "src/support/util.h"
 
 namespace ansor {
@@ -388,7 +387,6 @@ State EvolutionarySearch::RandomMutation(const State& state, Rng* rng) {
 
 std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, int num_out) {
   stats_ = EvolutionStats();
-  const int verify_level = EffectiveVerifyLevel(options_.verify_level);
   ThreadPool& pool = ThreadPool::OrGlobal(options_.thread_pool);
   TraceSpan evo_span(options_.tracer, "evolution", "search");
 
@@ -482,15 +480,15 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       predict.Arg("count", static_cast<int64_t>(pop));
     }
 
-    // Admissibility: the state lowered (non-empty features) and, when static
-    // verification is on, the verifier proved it legal. Rejected members can
-    // never be selected as parents or returned, so they drop out of the next
-    // population; the reports come stamped on the cached artifacts, so each
-    // distinct program is verified once per task.
+    // Admissibility: the state lowered (non-empty features) and the static
+    // verifier proved it legal. Rejected members can never be selected as
+    // parents or returned, so they drop out of the next population; the
+    // reports come stamped on the cached artifacts, so each distinct program
+    // is verified once per task.
     std::vector<char> admissible(pop, 0);
     for (size_t i = 0; i < pop; ++i) {
       bool ok = !artifacts[i]->features().empty();
-      if (verify_level >= 1 && !artifacts[i]->statically_legal()) {
+      if (!artifacts[i]->statically_legal()) {
         ok = false;
         ++stats_.statically_rejected;
       }
@@ -574,12 +572,6 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
       }
       // A null handle marks a discarded slot (dead or failed child).
       std::vector<StatePtr> children(wave);
-      // Invariant mode: every accepted child is verified at construction
-      // site, in the wave that produced it. A lowerable-but-illegal child
-      // means a schedule primitive or operator built a broken state — worth a
-      // diagnostic — while a lowering failure is a routine discard.
-      std::vector<char> wave_rejected(wave, 0);
-      std::vector<std::string> wave_diag(wave);
       pool.ParallelFor(wave, [&](size_t s) {
         Slot& slot = slots[s];
         Rng rng(slot.seed);
@@ -601,16 +593,6 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
           return;
         }
         children[s] = std::make_shared<const State>(std::move(child));
-        if (verify_level >= 2) {
-          ProgramArtifactPtr artifact =
-              cache->GetOrBuild(*children[s], options_.cache_client_id, gen_ptr);
-          if (!artifact->statically_legal()) {
-            wave_rejected[s] = 1;
-            if (artifact->ok()) {
-              wave_diag[s] = artifact->verifier_report().ToString();
-            }
-          }
-        }
       });
       for (size_t s = 0; s < wave; ++s) {
         ++attempts;
@@ -619,15 +601,6 @@ std::vector<State> EvolutionarySearch::Evolve(const std::vector<State>& init, in
         if (slot.crossover && !slot.dead) {
           count_request(member_scores[slot.pa]);
           count_request(member_scores[slot.pb]);
-        }
-        if (wave_rejected[s]) {
-          ++stats_.statically_rejected;
-          if (!wave_diag[s].empty()) {
-            LOG(WARNING) << "ANSOR_CHECK_INVARIANTS: discarding illegal child at construction "
-                            "site:\n"
-                         << wave_diag[s];
-          }
-          continue;
         }
         if (children[s] != nullptr &&
             static_cast<int>(next.size()) < options_.population) {

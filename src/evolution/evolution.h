@@ -108,17 +108,6 @@ struct EvolutionOptions {
   // across tasks can attribute cross-task reuse (ProgramCache::GetOrBuild).
   // 0 = anonymous. Counters only; results are identical for any id.
   uint64_t cache_client_id = 0;
-  // Static verification level (see src/analysis/program_verifier.h):
-  //   0 — off: only the legacy lowerability test (empty features) filters;
-  //   1 — population members whose artifact fails the static verifier are
-  //       rejected before they can be selected as parents or returned;
-  //   2 — invariant mode: every accepted mutation/crossover child is
-  //       additionally verified at construction site, so a primitive that
-  //       builds an illegal state is caught in the generation that ran it.
-  // The ANSOR_CHECK_INVARIANTS environment variable raises the effective
-  // level to 2. For corpora containing no lowerable-but-illegal program,
-  // levels 0 and 1 produce bit-identical results.
-  int verify_level = 1;
   // Telemetry handle: when enabled, Evolve records an "evolution" span with
   // one "generation" child per generation plus "model_predict" and
   // "artifact_build" descendants. Disabled (the default) costs one branch
@@ -131,10 +120,9 @@ struct EvolutionOptions {
 struct EvolutionStats {
   int64_t child_attempts = 0;      // mutation/crossover slots executed
   int64_t children_generated = 0;  // valid offspring admitted to a population
-  // Candidates rejected by the static program verifier (failed lowering,
-  // bounds/domain/ordering violations, resource limits) before any
-  // measurement: population members zero-weighted during scoring and, in
-  // invariant mode, children discarded at construction site.
+  // Population members the static program verifier rejected (failed
+  // lowering, bounds/domain/ordering violations, resource limits): they are
+  // zero-weighted during scoring, so they are never parents or returned.
   int64_t statically_rejected = 0;
   // Crossover parent stage-score lookups served from the call's memo (the
   // artifact was requested earlier in this call) vs scored fresh; a miss is

@@ -5,6 +5,17 @@
 #include "src/support/util.h"
 
 namespace ansor {
+namespace {
+
+// Probability that a CPU stage's innermost loop is vectorized.
+constexpr double kVectorizeProbability = 0.8;
+// GPU: threadIdx.x extent candidates.
+constexpr int64_t kThreadExtents[] = {32, 64, 128, 256, 512};
+// Limit on sampled tile sizes for the innermost level (TVM's
+// max_innermost_split_factor analogue).
+constexpr int64_t kMaxInnermostFactor = 64;
+
+}  // namespace
 
 std::vector<int64_t> SampleFactorization(int64_t extent, int parts, Rng* rng,
                                          int64_t max_innermost_factor) {
@@ -28,8 +39,7 @@ std::vector<int64_t> SampleFactorization(int64_t extent, int parts, Rng* rng,
   return lengths;
 }
 
-State SampleTileSizes(const State& sketch, const ComputeDAG* dag, Rng* rng,
-                      const SamplerOptions& options) {
+State SampleTileSizes(const State& sketch, const ComputeDAG* dag, Rng* rng) {
   // Replay step-by-step, rewriting the lengths of every SplitStep according
   // to the extent of the iterator at application time.
   State state(dag);
@@ -44,8 +54,7 @@ State SampleTileSizes(const State& sketch, const ComputeDAG* dag, Rng* rng,
       }
       int64_t extent = state.stage(stage_idx).iters[static_cast<size_t>(step.iter)].extent;
       std::vector<int64_t> full = SampleFactorization(
-          extent, static_cast<int>(step.lengths.size()) + 1, rng,
-          options.max_innermost_factor);
+          extent, static_cast<int>(step.lengths.size()) + 1, rng, kMaxInnermostFactor);
       // full[0] is the outer part (implicit); the step stores inner lengths.
       step.lengths.assign(full.begin() + 1, full.end());
       if (!state.Split(step.stage, step.iter, step.lengths)) {
@@ -131,7 +140,7 @@ void AnnotateCpuStage(State* state, const Stage& stage_snapshot, Rng* rng,
   // Vectorize the innermost loop with some probability.
   int stage_idx = state->StageIndex(name);
   const Stage& current = state->stage(stage_idx);
-  if (!current.iters.empty() && rng->Uniform() < options.vectorize_probability) {
+  if (!current.iters.empty() && rng->Uniform() < kVectorizeProbability) {
     int last = static_cast<int>(current.iters.size()) - 1;
     const Iterator& inner = current.iters[static_cast<size_t>(last)];
     if (inner.annotation == IterAnnotation::kNone && inner.extent >= 2 &&
@@ -161,7 +170,7 @@ void AnnotateGpuStage(State* state, const Stage& stage_snapshot, Rng* rng,
       int stage_idx = state->StageIndex(name);
       int64_t fused_extent = state->stage(stage_idx).iters[0].extent;
       std::vector<int64_t> candidates;
-      for (int64_t t : options.thread_extents) {
+      for (int64_t t : kThreadExtents) {
         if (fused_extent % t == 0) {
           candidates.push_back(t);
         }
@@ -219,7 +228,7 @@ void AnnotateState(State* state, Rng* rng, const SamplerOptions& options) {
 
 State SampleCompleteProgram(const State& sketch, const ComputeDAG* dag, Rng* rng,
                             const SamplerOptions& options) {
-  State state = SampleTileSizes(sketch, dag, rng, options);
+  State state = SampleTileSizes(sketch, dag, rng);
   if (state.failed()) {
     return state;
   }

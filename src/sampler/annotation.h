@@ -18,20 +18,13 @@ struct SamplerOptions {
   bool gpu = false;
   // auto_unroll_max_step candidates (TVM uses the same ladder).
   std::vector<int> unroll_options = {0, 16, 64, 512};
-  double vectorize_probability = 0.8;
   double location_tweak_probability = 0.1;
-  // GPU: threadIdx.x extent candidates.
-  std::vector<int64_t> thread_extents = {32, 64, 128, 256, 512};
-  // Limit on sampled tile sizes for a single level (TVM's
-  // max_innermost_split_factor analogue, applied to the innermost level).
-  int64_t max_innermost_factor = 64;
 };
 
 // Fills every pending SplitStep in the sketch with random divisor
 // factorizations by replaying its steps with rewritten lengths.
 // Returns a failed state if replay breaks (callers resample).
-State SampleTileSizes(const State& sketch, const ComputeDAG* dag, Rng* rng,
-                      const SamplerOptions& options = SamplerOptions());
+State SampleTileSizes(const State& sketch, const ComputeDAG* dag, Rng* rng);
 
 // Applies the random annotation policy (parallel / vectorize / unroll /
 // thread binding) to a tile-size-complete state, in place.

@@ -59,11 +59,11 @@ struct TaskSchedulerOptions {
   SearchOptions search;
   // Optional per-task customization of the search options each TaskTuner is
   // constructed with (invoked once per task, on a copy of `search`). The
-  // TuningService uses this seam to hand same-similarity-tag tasks a shared
-  // ProgramCache and a distinct cache_client_id; the legacy path leaves it
-  // unset. Must not change anything that affects search results across
-  // runs being compared (cache injection and client ids are safe: results
-  // are cache-invariant by construction).
+  // TuningService owns this seam for its jobs: it hands same-similarity-tag
+  // tasks a shared ProgramCache and a distinct cache_client_id; the legacy
+  // path leaves it unset. Must not change anything that affects search
+  // results across runs being compared (cache injection and client ids are
+  // safe: results are cache-invariant by construction).
   std::function<void(size_t task_index, const SearchTask& task, SearchOptions* search)>
       per_task_search;
 };

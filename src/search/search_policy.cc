@@ -3,11 +3,17 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "src/analysis/program_verifier.h"
 #include "src/support/logging.h"
 #include "src/support/thread_pool.h"
 
 namespace ansor {
+namespace {
+
+// Fraction of each measured batch drawn from random sampling instead of
+// evolution (epsilon-greedy exploration).
+constexpr double kEpsRandom = 0.1;
+
+}  // namespace
 
 TaskTuner::TaskTuner(SearchTask task, Measurer* measurer, CostModel* model,
                      SearchOptions options)
@@ -62,7 +68,6 @@ PlannedRound TaskTuner::PlanRound(int num_measures) {
   TraceSpan plan_span(tracer_, "plan_round", "search");
   Tracer plan_tracer = plan_span.child();
   const Tracer* plan_ptr = plan_span.enabled() ? &plan_tracer : nullptr;
-  const int verify_level = EffectiveVerifyLevel(options_.verify_level);
 
   // Candidate generation. Signatures are kept alongside the candidates so
   // the commit bookkeeping never rebuilds them.
@@ -83,17 +88,15 @@ PlannedRound TaskTuner::PlanRound(int num_measures) {
     if (!picked.insert(sig).second) {
       return;
     }
-    if (verify_level >= 1) {
-      // Pre-measurement static filter: a candidate the verifier proves
-      // illegal for this machine (failed lowering, bounds/domain/ordering
-      // violation, resource limits) must not burn a trial. The report rides
-      // on the cached artifact, so candidates the evolution already compiled
-      // are filtered for free.
-      ProgramArtifactPtr artifact = cache_->GetOrBuild(s, options_.cache_client_id, plan_ptr);
-      if (!artifact->statically_legal(&measurer_->machine(), plan_ptr)) {
-        ++statically_rejected_;
-        return;
-      }
+    // Pre-measurement static filter: a candidate the verifier proves illegal
+    // for this machine (failed lowering, bounds/domain/ordering violation,
+    // resource limits) must not burn a trial. The report rides on the cached
+    // artifact, so candidates the evolution already compiled are filtered
+    // for free.
+    ProgramArtifactPtr artifact = cache_->GetOrBuild(s, options_.cache_client_id, plan_ptr);
+    if (!artifact->statically_legal(&measurer_->machine(), plan_ptr)) {
+      ++statically_rejected_;
+      return;
     }
     round.to_measure.push_back(s);
     round.signatures.push_back(std::move(sig));
@@ -113,13 +116,17 @@ PlannedRound TaskTuner::PlanRound(int num_measures) {
     evo.thread_pool = options_.thread_pool;
     evo.program_cache = cache_;
     evo.cache_client_id = options_.cache_client_id;
-    evo.verify_level = options_.verify_level;
     if (plan_ptr != nullptr) {
       evo.tracer = *plan_ptr;
     }
     EvolutionarySearch evolution(task_.dag.get(), model_, rng_.Fork(), evo);
-    int n_evolved = std::max(1, num_measures - static_cast<int>(options_.eps_random *
-                                                                num_measures));
+    // The epsilon share is truncated toward zero, so below 10 trials per
+    // round it is 0 and no slot is reserved for random programs: evolution
+    // is asked for the whole round, and random programs fill only the slots
+    // its candidates leave empty (already measured, blacklisted or
+    // statically illegal).
+    int n_evolved =
+        std::max(1, num_measures - static_cast<int>(kEpsRandom * num_measures));
     for (const State& s : evolution.Evolve(init, n_evolved)) {
       add_candidate(s);
     }
@@ -127,7 +134,10 @@ PlannedRound TaskTuner::PlanRound(int num_measures) {
     AccumulateEvolutionStats(evolution.stats(), &evolution_stats_);
   }
   // Epsilon-greedy random exploration (all candidates when fine-tuning is
-  // disabled — the "No fine-tuning" ablation).
+  // disabled — the "No fine-tuning" ablation). All num_measures programs are
+  // drawn even when evolution already filled the round, and add_candidate
+  // drops the ones that no longer fit: the draws advance rng_, which seeds
+  // every later round, so drawing fewer would change the search.
   for (const State& s : SampleRandomPrograms(num_measures)) {
     add_candidate(s);
   }

@@ -60,9 +60,6 @@ struct SearchOptions {
   // Probability of producing offspring by node-based crossover instead of
   // mutation (0 disables crossover).
   double crossover_probability = 0.25;
-  // Fraction of each measured batch drawn from random sampling instead of
-  // evolution (epsilon-greedy exploration).
-  double eps_random = 0.1;
   int random_samples_per_round = 24;  // fresh samples seeding each round
   uint64_t seed = 42;
   SamplerOptions sampler;
@@ -101,15 +98,6 @@ struct SearchOptions {
   // program: transient hardware failures recover, deterministic failures stop
   // leaking one trial per round forever.
   int max_invalid_measures = 3;
-  // Static verification level (src/analysis/program_verifier.h): 0 = off,
-  // 1 = statically-illegal candidates (failed lowering, bounds/domain/
-  // ordering violations, machine resource limits) are rejected before they
-  // burn a measurement trial, 2 = invariant mode — the verifier additionally
-  // runs on every accepted evolution child at construction site. The
-  // ANSOR_CHECK_INVARIANTS environment variable raises the effective level
-  // to 2. Levels 0 and 1 are bit-identical on corpora with no statically
-  // illegal candidate (see the determinism tests).
-  int verify_level = 1;
   // Telemetry handle for this task's tuner: spans for sketch generation,
   // round planning (with evolution/generation children), training-feature
   // extraction, measurement and commit are attributed through it. Disabled

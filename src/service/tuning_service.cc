@@ -194,6 +194,8 @@ JobHandle TuningService::Submit(JobSpec spec) {
   CHECK(!spec.tasks.empty()) << "JobSpec needs at least one task";
   CHECK(spec.measurer != nullptr) << "JobSpec needs a measurer";
   CHECK(spec.model != nullptr) << "JobSpec needs a cost model";
+  CHECK(!spec.options.per_task_search)
+      << "JobSpec must not set per_task_search: the service wires each task's search";
   auto job = std::make_shared<JobState>();
   job->id = next_job_id_.fetch_add(1);
   job->spec = std::move(spec);
@@ -242,9 +244,8 @@ void TuningService::RunJob(JobState* job) {
 
   // Wire the per-task search options: the shared worker pool, a distinct
   // cache client id per (job, task), and — for nonempty similarity tags —
-  // the service-owned shared cache for that tag. A caller-provided
-  // per_task_search hook runs first so it can still veto the cache by
-  // injecting its own.
+  // the service-owned shared cache for that tag, unless the job's search
+  // options inject a cache of their own.
   const size_t n_tasks = spec.tasks.size();
   std::vector<uint64_t> client_ids(n_tasks);
   std::vector<ProgramCache*> tag_caches(n_tasks, nullptr);
@@ -260,12 +261,7 @@ void TuningService::RunJob(JobState* job) {
     }
   }
   TaskSchedulerOptions opts = spec.options;
-  auto caller_hook = opts.per_task_search;
-  opts.per_task_search = [&, caller_hook](size_t i, const SearchTask& task,
-                                          SearchOptions* search) {
-    if (caller_hook) {
-      caller_hook(i, task, search);
-    }
+  opts.per_task_search = [&](size_t i, const SearchTask&, SearchOptions* search) {
     search->thread_pool = &workers_;
     search->clock = clock_;  // one clock per service: all timings agree
     search->cache_client_id = client_ids[i];

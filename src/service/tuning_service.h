@@ -63,7 +63,8 @@ struct JobSpec {
   // Per-job allocation policy + search knobs (alpha/beta/eps/seed/search).
   // The service overrides search.thread_pool (shared pool), assigns
   // search.cache_client_id per task, and injects per-tag shared caches; all
-  // are result-invariant.
+  // are result-invariant. It does so through options.per_task_search, so
+  // that hook must stay unset (Submit CHECKs).
   TaskSchedulerOptions options;
   // Trial budget: allocation rounds of options.measures_per_round trials.
   int total_rounds = 1;
@@ -214,10 +215,13 @@ class TuningService {
   ProgramCacheStats SharedCacheStats() const;
   size_t shared_cache_count() const;
 
-  // Captures every per-tag shared cache into an ArtifactStore (snapshots
-  // tagged with their cache's tag) and writes it to `path` — the file a
-  // future service passes as warm_start_path. Safe while jobs run (caches
-  // are captured shard-by-shard); for a complete snapshot, WaitAll() first.
+  // Captures every per-tag shared cache into an ArtifactStore and writes it
+  // to `path` — the file a future service passes as warm_start_path. Each
+  // snapshot records its cache's tag, but warming matches on task id only:
+  // a restarted service warms a tag's cache with the artifacts of the tasks
+  // that run on it, whichever cache captured them. Safe while jobs run
+  // (caches are captured shard-by-shard); for a complete snapshot,
+  // WaitAll() first.
   bool SaveWarmState(const std::string& path) const;
   // Result of loading warm_start_path at construction (ok == false with all
   // zeros when no path was given).

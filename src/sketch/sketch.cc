@@ -126,7 +126,7 @@ SketchRule RuleAlwaysInline() {
   SketchRule rule;
   rule.name = "AlwaysInline";
   rule.exclusive = true;
-  rule.condition = [](const State& state, int i, const AnalysisConfig&) {
+  rule.condition = [](const State& state, int i) {
     return IsStrictInlinable(state, i);
   };
   rule.apply = [](const State& state, int i) {
@@ -144,8 +144,8 @@ SketchRule RuleMultiLevelTilingWithFusion(int space_levels, int reduce_levels) {
   SketchRule rule;
   rule.name = "MultiLevelTilingWithFusion";
   rule.exclusive = true;
-  rule.condition = [](const State& state, int i, const AnalysisConfig& config) {
-    return HasDataReuse(state, i, config) && HasFusibleConsumer(state, i, nullptr);
+  rule.condition = [](const State& state, int i) {
+    return HasDataReuse(state, i) && HasFusibleConsumer(state, i, nullptr);
   };
   rule.apply = [space_levels, reduce_levels](const State& state, int i) {
     std::vector<std::pair<State, int>> result;
@@ -174,8 +174,8 @@ SketchRule RuleAddCacheStage() {
   SketchRule rule;
   rule.name = "AddCacheStage";
   rule.exclusive = false;  // branches alongside plain multi-level tiling
-  rule.condition = [](const State& state, int i, const AnalysisConfig& config) {
-    return HasDataReuse(state, i, config) && !HasFusibleConsumer(state, i, nullptr);
+  rule.condition = [](const State& state, int i) {
+    return HasDataReuse(state, i) && !HasFusibleConsumer(state, i, nullptr);
   };
   rule.apply = [](const State& state, int i) {
     std::vector<std::pair<State, int>> result;
@@ -197,8 +197,8 @@ SketchRule RuleMultiLevelTiling(int space_levels, int reduce_levels) {
   SketchRule rule;
   rule.name = "MultiLevelTiling";
   rule.exclusive = true;
-  rule.condition = [](const State& state, int i, const AnalysisConfig& config) {
-    return HasDataReuse(state, i, config);
+  rule.condition = [](const State& state, int i) {
+    return HasDataReuse(state, i);
   };
   rule.apply = [space_levels, reduce_levels](const State& state, int i) {
     std::vector<std::pair<State, int>> result;
@@ -218,8 +218,8 @@ SketchRule RuleAddRfactor() {
   SketchRule rule;
   rule.name = "AddRfactor";
   rule.exclusive = false;
-  rule.condition = [](const State& state, int i, const AnalysisConfig& config) {
-    if (!HasMoreReductionParallel(state, i, config)) {
+  rule.condition = [](const State& state, int i) {
+    if (!HasMoreReductionParallel(state, i)) {
       return false;
     }
     // Applicable only to a still-pristine single-reduction stage.
@@ -284,7 +284,7 @@ SketchRule RuleSkip() {
   SketchRule rule;
   rule.name = "Skip";
   rule.exclusive = true;
-  rule.condition = [](const State& state, int i, const AnalysisConfig&) {
+  rule.condition = [](const State& state, int i) {
     return !IsStrictInlinable(state, i);
   };
   rule.apply = [](const State& state, int i) {
@@ -332,7 +332,7 @@ std::vector<State> GenerateSketches(const ComputeDAG* dag, const SketchOptions& 
       continue;
     }
     for (const SketchRule& rule : rules) {
-      if (!rule.condition(state, i, options.analysis)) {
+      if (!rule.condition(state, i)) {
         continue;
       }
       for (auto& [next, next_i] : rule.apply(state, i)) {

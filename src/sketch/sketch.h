@@ -28,12 +28,11 @@ class ProgramCache;
 struct SketchRule {
   std::string name;
   bool exclusive = true;
-  std::function<bool(const State&, int, const AnalysisConfig&)> condition;
+  std::function<bool(const State&, int)> condition;
   std::function<std::vector<std::pair<State, int>>(const State&, int)> apply;
 };
 
 struct SketchOptions {
-  AnalysisConfig analysis;
   // Custom rules are tried before the built-in ones, in order.
   std::vector<SketchRule> custom_rules;
   // Safety bound on enumeration.

@@ -47,8 +47,9 @@ namespace ansor {
 class ProgramCache;
 
 // The fields of one ProgramArtifact (its signature is StepSignature(steps)),
-// plus the cache tag it was captured from (so a multi-tag service warms each
-// shared cache with its own tag's artifacts).
+// plus the tag of the cache it was captured from. The tag is stored and
+// serialized but never read back: WarmCache selects snapshots by task id
+// alone, so a task's artifacts warm whichever cache that task's tuner uses.
 struct ArtifactSnapshot {
   uint64_t task_id = 0;  // producing DAG's canonical hash
   std::string tag;       // owning cache's tag ("" = untagged / single tuner)
@@ -91,8 +92,9 @@ class ArtifactStore {
   ArtifactStoreStats stats() const;
 
   // Captures every artifact resident in `cache` as a snapshot tagged `tag`
-  // (duplicates against already-stored snapshots are deduplicated). Returns
-  // the number of snapshots newly added.
+  // (duplicates against already-stored snapshots are deduplicated; the tag
+  // does not take part in warming, see ArtifactSnapshot). Returns the number
+  // of snapshots newly added.
   size_t CaptureCache(const ProgramCache& cache, const std::string& tag = "");
 
   // Installs a ProgramArtifact into `cache` for every stored snapshot of

@@ -82,14 +82,6 @@ double EnvDouble(const char* name, double default_value) {
   return std::atof(env);
 }
 
-int64_t EnvInt(const char* name, int64_t default_value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') {
-    return default_value;
-  }
-  return std::atoll(env);
-}
-
 namespace {
 
 // write(2) until every byte is out, retrying short writes and EINTR.

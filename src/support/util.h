@@ -46,9 +46,8 @@ double Mean(const std::vector<double>& values);
 // Formats a double with the given precision (for table output).
 std::string FormatDouble(double v, int precision = 3);
 
-// Environment variable helpers with defaults.
+// Environment variable helper with a default.
 double EnvDouble(const char* name, double default_value);
-int64_t EnvInt(const char* name, int64_t default_value);
 
 // The one way the library puts a file on disk. Writes `bytes` to
 // "<path>.tmp" in the same directory, fsyncs and closes it, renames it over

@@ -20,6 +20,7 @@
 #include "src/sketch/sketch.h"
 #include "src/support/thread_pool.h"
 #include "src/workloads/operators.h"
+#include "src/workloads/suites.h"
 #include "tests/testing.h"
 
 namespace ansor {
@@ -298,9 +299,7 @@ TEST(ProgramVerifier, ArtifactStampsReportAndChecksResourcesPerMachine) {
 
 TEST(ProgramVerifier, EvolutionCountsStaticRejections) {
   // A state that replays fine but fails lowering is statically illegal
-  // (lowering check): with verify_level >= 1 the evolution counter must see
-  // it; with verify_level == 0 the verifier never runs and the counter
-  // stays zero (the invalid-score path still excludes the program).
+  // (lowering check): the evolution counter must see it.
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   // Computing D at C replays fine (both stages exist) but cannot lower:
   // C does not read D. A deterministic replay-ok, lowering-fail state.
@@ -314,48 +313,73 @@ TEST(ProgramVerifier, EvolutionCountsStaticRejections) {
   init.push_back(unlowerable);
 
   RandomCostModel model(9);
-  auto run = [&](int verify_level) {
-    EvolutionOptions options;
-    options.population = 8;
-    options.generations = 1;
-    options.verify_level = verify_level;
-    EvolutionarySearch es(&dag, &model, Rng(10), options);
-    EXPECT_FALSE(es.Evolve(init, 4).empty());
-    return es.stats().statically_rejected;
-  };
-  EXPECT_EQ(run(0), 0);
-  EXPECT_GE(run(1), 1);
+  EvolutionOptions options;
+  options.population = 8;
+  options.generations = 1;
+  EvolutionarySearch es(&dag, &model, Rng(10), options);
+  EXPECT_FALSE(es.Evolve(init, 4).empty());
+  EXPECT_GE(es.stats().statically_rejected, 1);
 }
 
 TEST(ProgramVerifier, StaticFilterSavesMeasurementTrialsAtEqualBudget) {
-  // The same 16-trial tuning round with the verifier off and on. Softmax over
-  // 512-wide rows makes the vectorize mutation annotate a 512-extent loop,
-  // beyond the Intel model's 256-lane register budget, so such a program
-  // fails on the simulated machine. Off, those candidates burn measurement
-  // trials; on, the verifier rejects them before the measurer sees them.
-  struct Counts {
-    int64_t invalid_measures;
-    int64_t statically_rejected;
-  };
-  auto tune = [](int verify_level) {
-    Measurer measurer(MachineModel::IntelCpu20Core());
-    GbdtCostModel model;
-    SearchOptions options;
-    options.population = 40;
-    options.generations = 3;
-    options.random_samples_per_round = 16;
-    options.verify_level = verify_level;
-    TaskTuner tuner(MakeSearchTask("softmax", MakeSoftmax(64, 512)), &measurer, &model,
-                    options);
-    tuner.TuneRound(16);
-    return Counts{tuner.invalid_measures(), tuner.statically_rejected()};
-  };
-  Counts off = tune(0);
-  EXPECT_GT(off.invalid_measures, 0);
-  EXPECT_EQ(off.statically_rejected, 0);
-  Counts on = tune(1);
-  EXPECT_EQ(on.invalid_measures, 0);
-  EXPECT_GT(on.statically_rejected, 0);
+  // Softmax over 512-wide rows makes the vectorize mutation annotate a
+  // 512-extent loop, beyond the Intel model's 256-lane register budget. Such
+  // a program fails on the simulated machine, so measuring it would burn a
+  // trial; the verifier rejects it before the measurer sees it.
+  ComputeDAG dag = MakeSoftmax(64, 512);
+  const MachineModel intel = MachineModel::IntelCpu20Core();
+  State wide(&dag);
+  ASSERT_TRUE(wide.Annotate("softmax", 1, IterAnnotation::kVectorize));
+  ASSERT_EQ(wide.stage(wide.StageIndex("softmax")).iters[1].extent, 512);
+  EXPECT_FALSE(Measurer(intel).Measure(wide).valid);
+  ProgramCache cache;
+  EXPECT_FALSE(cache.GetOrBuild(wide)->statically_legal(&intel));
+
+  // A 16-trial tuning round: every candidate of that kind is rejected
+  // statically, so no trial comes back invalid.
+  Measurer measurer(intel);
+  GbdtCostModel model;
+  SearchOptions options;
+  options.population = 40;
+  options.generations = 3;
+  options.random_samples_per_round = 16;
+  TaskTuner tuner(MakeSearchTask("softmax", MakeSoftmax(64, 512)), &measurer, &model,
+                  options);
+  tuner.TuneRound(16);
+  EXPECT_EQ(tuner.invalid_measures(), 0);
+  EXPECT_GT(tuner.statically_rejected(), 0);
+}
+
+TEST(ProgramVerifier, TunedFig6ProgramsAreStructurallyLegal) {
+  // Every program a short search lowers passes the machine-independent
+  // checks (bounds, iterator domains, def-before-use): the schedule
+  // primitives, the sampler and the evolution operators never build a
+  // lowerable program that reads out of bounds or out of order. Covers each
+  // batch-1 Fig. 6 case with the CPU sampler and with the GPU sampler.
+  for (bool gpu : {false, true}) {
+    const MachineModel machine =
+        gpu ? MachineModel::NvidiaGpu() : MachineModel::IntelCpu20Core();
+    for (OpBenchCase& c : SingleOpSuite(1)) {
+      SCOPED_TRACE(c.op + " " + c.shape + (gpu ? " gpu" : " cpu"));
+      Measurer measurer(machine);
+      GbdtCostModel model;
+      ProgramCache cache;
+      SearchOptions options = testing::SmallSearchOptions();
+      options.sampler.gpu = gpu;
+      options.program_cache = &cache;
+      TuneTask(MakeSearchTask(c.op, std::move(c.dag)), &measurer, &model,
+               /*num_measure_trials=*/24, /*measures_per_round=*/8, options);
+      size_t lowered = 0;
+      cache.ForEach([&](const ProgramArtifactPtr& artifact) {
+        if (artifact->ok()) {
+          ++lowered;
+          EXPECT_TRUE(artifact->verifier_report().legal())
+              << artifact->verifier_report().ToString();
+        }
+      });
+      EXPECT_GT(lowered, 0u);
+    }
+  }
 }
 
 TEST(ProgramVerifierConcurrency, ParallelVerdictsThroughSharedCache) {

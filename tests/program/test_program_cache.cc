@@ -169,10 +169,8 @@ TEST(ProgramCacheConcurrency, ConcurrentStageScoreMemos) {
   EXPECT_GT(es.stats().crossover_score_hits + es.stats().crossover_score_misses, 0);
 }
 
-// Same seed ⇒ bit-identical evolution results for any thread count, any
-// cache capacity (0 = disabled, tiny = eviction-heavy, default) and any
-// verify_level in {0, 1}: on a corpus of legal programs the static
-// pre-filter rejects nothing, so enabling it must not perturb the search.
+// Same seed ⇒ bit-identical evolution results for any thread count and any
+// cache capacity (0 = disabled, tiny = eviction-heavy, default).
 TEST(ProgramCacheDeterminism, EvolveThreadAndCapacityMatrix) {
   ComputeDAG dag = testing::MatmulRelu(16, 16, 16);
   Rng init_rng(25);
@@ -181,7 +179,7 @@ TEST(ProgramCacheDeterminism, EvolveThreadAndCapacityMatrix) {
 
   // GBDT model trained identically per run so crossover stage scores are
   // real learned values, not constants.
-  auto run = [&](size_t threads, size_t capacity, int verify_level) {
+  auto run = [&](size_t threads, size_t capacity) {
     Measurer measurer(MachineModel::IntelCpu20Core());
     GbdtCostModel model;
     std::vector<FeatureMatrix> features;
@@ -201,7 +199,6 @@ TEST(ProgramCacheDeterminism, EvolveThreadAndCapacityMatrix) {
     options.crossover_probability = 0.5;
     options.thread_pool = &pool;
     options.program_cache = &cache;
-    options.verify_level = verify_level;
     EvolutionarySearch es(&dag, &model, Rng(26), options);
     std::vector<std::string> sigs;
     for (const State& s : es.Evolve(init, 6)) {
@@ -211,24 +208,20 @@ TEST(ProgramCacheDeterminism, EvolveThreadAndCapacityMatrix) {
     return sigs;
   };
 
-  auto reference = run(1, ProgramCache::kDefaultCapacity, /*verify_level=*/1);
+  auto reference = run(1, ProgramCache::kDefaultCapacity);
   for (size_t threads : {size_t{1}, size_t{4}}) {
     for (size_t capacity : {size_t{0}, size_t{2}, ProgramCache::kDefaultCapacity}) {
-      for (int verify_level : {0, 1}) {
-        EXPECT_EQ(run(threads, capacity, verify_level), reference)
-            << "threads=" << threads << " capacity=" << capacity
-            << " verify_level=" << verify_level;
-      }
+      EXPECT_EQ(run(threads, capacity), reference)
+          << "threads=" << threads << " capacity=" << capacity;
     }
   }
 }
 
 // Same matrix through the full tuning loop: TuneTask must produce a
 // bit-identical history whether the task cache is disabled, tiny, or
-// default-sized, on 1 or 4 threads, with the static verifier off or on
-// (a legal-only corpus: the pre-filter never fires, so it cannot perturb).
+// default-sized, on 1 or 4 threads.
 TEST(ProgramCacheDeterminism, TuneTaskThreadAndCapacityMatrix) {
-  auto run = [&](size_t threads, size_t capacity, int verify_level) {
+  auto run = [&](size_t threads, size_t capacity) {
     ThreadPool pool(threads);
     MeasureOptions mopts;
     mopts.thread_pool = &pool;
@@ -239,20 +232,18 @@ TEST(ProgramCacheDeterminism, TuneTaskThreadAndCapacityMatrix) {
     options.thread_pool = &pool;
     ProgramCache cache(capacity);
     options.program_cache = &cache;
-    options.verify_level = verify_level;
     return TuneTask(task, &measurer, &model, /*trials=*/24, 8, options);
   };
 
-  TuneResult reference = run(1, ProgramCache::kDefaultCapacity, /*verify_level=*/1);
+  TuneResult reference = run(1, ProgramCache::kDefaultCapacity);
   ASSERT_TRUE(reference.best_state.has_value());
-  auto check = [&](size_t threads, size_t capacity, int verify_level) {
-    TuneResult r = run(threads, capacity, verify_level);
+  auto check = [&](size_t threads, size_t capacity) {
+    TuneResult r = run(threads, capacity);
     ASSERT_EQ(r.history.size(), reference.history.size());
     for (size_t i = 0; i < r.history.size(); ++i) {
       EXPECT_EQ(r.history[i].first, reference.history[i].first);
       EXPECT_EQ(r.history[i].second, reference.history[i].second)  // bit-identical
-          << "threads=" << threads << " capacity=" << capacity
-          << " verify_level=" << verify_level << " round=" << i;
+          << "threads=" << threads << " capacity=" << capacity << " round=" << i;
     }
     EXPECT_EQ(r.best_seconds, reference.best_seconds);
     ASSERT_TRUE(r.best_state.has_value());
@@ -260,11 +251,8 @@ TEST(ProgramCacheDeterminism, TuneTaskThreadAndCapacityMatrix) {
   };
   for (size_t threads : {size_t{1}, size_t{4}}) {
     for (size_t capacity : {size_t{0}, size_t{8}, ProgramCache::kDefaultCapacity}) {
-      check(threads, capacity, /*verify_level=*/1);
+      check(threads, capacity);
     }
-    // Verifier off: same history on a legal-only corpus, fewer total runs —
-    // the off/on equivalence is the claim, not the full cross-product.
-    check(threads, ProgramCache::kDefaultCapacity, /*verify_level=*/0);
   }
 }
 

@@ -51,6 +51,21 @@ JobSpec MakeJob(int job, int rounds, Measurer* measurer, CostModel* model) {
   return spec;
 }
 
+TEST(TuningService, SubmitRejectsAPerTaskSearchHook) {
+  // The service owns the per_task_search seam: it wires each task's search
+  // options itself (shared pool, cache client ids, per-tag caches).
+  Measurer measurer(MachineModel::IntelCpu20Core());
+  GbdtCostModel model;
+  JobSpec spec = MakeJob(0, 1, &measurer, &model);
+  spec.options.per_task_search = [](size_t, const SearchTask&, SearchOptions*) {};
+  EXPECT_DEATH(
+      {
+        TuningService service;
+        service.Submit(spec);
+      },
+      "per_task_search");
+}
+
 TEST(TuningService, DeterminismMatrixMatchesLegacy) {
   constexpr int kJobs = 3;
   constexpr int kRounds = 4;

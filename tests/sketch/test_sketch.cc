@@ -135,7 +135,7 @@ TEST(Sketch, CustomRuleIntegrates) {
   SketchRule custom;
   custom.name = "CustomSplitReduction";
   custom.exclusive = false;
-  custom.condition = [](const State& state, int i, const AnalysisConfig&) {
+  custom.condition = [](const State& state, int i) {
     const Stage& s = state.stage(i);
     return s.op->body.defined() && s.op->body.kind() == ExprKind::kReduce;
   };

@@ -135,7 +135,6 @@ TEST(Join, Strings) {
 
 TEST(Env, Defaults) {
   EXPECT_DOUBLE_EQ(EnvDouble("ANSOR_NONEXISTENT_VAR_X", 1.5), 1.5);
-  EXPECT_EQ(EnvInt("ANSOR_NONEXISTENT_VAR_X", 42), 42);
 }
 
 TEST(FileIo, AtomicWriteReadsBackAndFailuresLeaveNothing) {
