@@ -51,7 +51,7 @@ void GbdtCostModel::Update(uint64_t task_id,
     data_.SetTarget(p, label, std::max(label, 0.1));
   }
   model_ = Gbdt(params_);
-  model_.Train(data_);
+  model_.Train(data_, &bins_);
   CountTrain();
   BumpVersion();
 }

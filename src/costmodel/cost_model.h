@@ -6,10 +6,12 @@
 // tasks and retrains on every update.
 //
 // GbdtCostModel keeps one persistent GbdtDataset, its only copy of the
-// training data. Update is its one writer: it appends the measured programs,
-// recomputes just the per-program labels and weights (task bests move) and
-// trains from scratch on the dataset as it stands, so a model equals one
-// trained once over the same programs in the same order.
+// training data, and the GbdtBinCache of that dataset's binned columns.
+// Update is their one writer: it appends the measured programs, recomputes
+// just the per-program labels and weights (task bests move) and trains from
+// scratch on the dataset as it stands, binning only what changed since the
+// last Update. A model therefore equals one trained once over the same
+// programs in the same order.
 //
 // All entry points speak FeatureMatrix — the flat row-major features cached
 // on ProgramArtifacts. A model implements program scoring once, in
@@ -140,6 +142,8 @@ class GbdtCostModel : public CostModel {
   // Accumulated training data: program p of data_ was measured at
   // labels_raw_[p] FLOPS on task task_ids_[p].
   GbdtDataset data_;
+  // data_'s binned columns, refreshed by each Update's Train.
+  GbdtBinCache bins_;
   std::vector<double> labels_raw_;
   std::vector<uint64_t> task_ids_;
   std::unordered_map<uint64_t, double> task_best_;

@@ -12,10 +12,11 @@
 // transformed. The total dimension is 164, as in the paper.
 //
 // Rows are returned as one contiguous row-major FeatureMatrix (stride
-// FeatureDim(), stage names attached per row) and are extracted with reused
-// scratch buffers — no per-statement vector or hash-map allocations — so the
-// evolution loop can score thousands of candidates per second against the
-// matrices cached on their ProgramArtifacts.
+// FeatureDim(), stage names attached per row), which the evolution loop
+// scores against as cached on each ProgramArtifact. Per-row working state
+// lives in scratch buffers reused across the rows of one call, but each call
+// starts them empty and grows them again: a row costs about 68 heap
+// allocations, a sampled GPU conv program about 236.
 #ifndef ANSOR_SRC_FEATURES_FEATURE_EXTRACTION_H_
 #define ANSOR_SRC_FEATURES_FEATURE_EXTRACTION_H_
 

@@ -483,16 +483,16 @@ bool TuningService::SaveWarmState(const std::string& path) const {
     // Collect the caches under mu_, capture them outside it: CaptureCache
     // only takes per-shard cache locks, which jobs also take — never mu_ —
     // so the order here cannot deadlock with a running job.
-    std::vector<std::pair<std::string, const ProgramCache*>> caches;
+    std::vector<const ProgramCache*> caches;
     {
       std::lock_guard<std::mutex> lock(mu_);
       caches.reserve(tag_caches_.size());
-      for (const auto& [tag, cache] : tag_caches_) {
-        caches.emplace_back(tag, cache.get());
+      for (const auto& entry : tag_caches_) {
+        caches.push_back(entry.second.get());
       }
     }
-    for (const auto& [tag, cache] : caches) {
-      snapshot.CaptureCache(*cache, tag);
+    for (const ProgramCache* cache : caches) {
+      snapshot.CaptureCache(*cache);
     }
   }
   if (span.enabled()) {

@@ -8,7 +8,7 @@
 namespace ansor {
 namespace {
 
-constexpr char kArtifactMagic[8] = {'A', 'N', 'S', 'R', 'A', 'R', 'T', '2'};
+constexpr char kArtifactMagic[8] = {'A', 'N', 'S', 'R', 'A', 'R', 'T', '3'};
 constexpr size_t kMagicSize = sizeof(kArtifactMagic);
 
 std::string StoreKey(uint64_t task_id, const std::string& signature) {
@@ -17,7 +17,6 @@ std::string StoreKey(uint64_t task_id, const std::string& signature) {
 
 void EncodeSnapshot(const ArtifactSnapshot& s, StringTable* strings, ByteWriter* body) {
   body->PutU64(s.task_id);
-  body->PutVarint(strings->Intern(s.tag));
   body->PutVarint(s.steps.size());
   for (const Step& step : s.steps) {
     EncodeStep(step, strings, body);
@@ -30,12 +29,6 @@ void EncodeSnapshot(const ArtifactSnapshot& s, StringTable* strings, ByteWriter*
 bool DecodeSnapshot(ByteReader* r, const std::vector<std::string>& strings,
                     ArtifactSnapshot* out) {
   out->task_id = r->GetU64();
-  uint64_t tag_ref = r->GetVarint();
-  if (!r->ok() || tag_ref >= strings.size()) {
-    r->Fail();
-    return false;
-  }
-  out->tag = strings[tag_ref];
   uint64_t num_steps = r->GetCount();
   if (!r->ok()) {
     return false;
@@ -85,12 +78,11 @@ ArtifactStoreStats ArtifactStore::stats() const {
   return stats_;
 }
 
-size_t ArtifactStore::CaptureCache(const ProgramCache& cache, const std::string& tag) {
+size_t ArtifactStore::CaptureCache(const ProgramCache& cache) {
   size_t added = 0;
   cache.ForEach([&](const ProgramArtifactPtr& artifact) {
     ArtifactSnapshot snapshot;
     snapshot.task_id = artifact->task_id();
-    snapshot.tag = tag;
     snapshot.steps = artifact->steps();
     snapshot.features = artifact->features();
     snapshot.report = artifact->verifier_report();

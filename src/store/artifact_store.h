@@ -13,8 +13,10 @@
 // The on-disk container mirrors the record store's: an interned string
 // table, length-prefixed snapshot bodies (a corrupted snapshot is skipped
 // and counted, never crashes the loader), and a fixed magic for detection.
-// The magic is ANSRART2: an ANSRART1 file, whose snapshots held pass/fail
-// bits in place of the report and the summary, is refused, not misread.
+// The magic is ANSRART3. Older files are refused, not misread: an ANSRART1
+// file's snapshots held pass/fail bits in place of the report and the
+// summary, and an ANSRART2 file's snapshots carried the tag of the cache
+// they were captured from.
 //
 // Thread safety. One ArtifactStore may be shared by any number of threads
 // (every job of a TuningService warms its cache from the service's store):
@@ -46,13 +48,11 @@ namespace ansor {
 
 class ProgramCache;
 
-// The fields of one ProgramArtifact (its signature is StepSignature(steps)),
-// plus the tag of the cache it was captured from. The tag is stored and
-// serialized but never read back: WarmCache selects snapshots by task id
-// alone, so a task's artifacts warm whichever cache that task's tuner uses.
+// The fields of one ProgramArtifact (its signature is StepSignature(steps)).
+// WarmCache selects snapshots by task id alone, so a task's artifacts warm
+// whichever cache that task's tuner uses.
 struct ArtifactSnapshot {
   uint64_t task_id = 0;  // producing DAG's canonical hash
-  std::string tag;       // owning cache's tag ("" = untagged / single tuner)
   std::vector<Step> steps;
   FeatureMatrix features;  // empty when resources.lowered is false
   VerifierReport report;
@@ -91,11 +91,10 @@ class ArtifactStore {
   size_t size() const;
   ArtifactStoreStats stats() const;
 
-  // Captures every artifact resident in `cache` as a snapshot tagged `tag`
-  // (duplicates against already-stored snapshots are deduplicated; the tag
-  // does not take part in warming, see ArtifactSnapshot). Returns the number
+  // Captures every artifact resident in `cache` as a snapshot (duplicates
+  // against already-stored snapshots are deduplicated). Returns the number
   // of snapshots newly added.
-  size_t CaptureCache(const ProgramCache& cache, const std::string& tag = "");
+  size_t CaptureCache(const ProgramCache& cache);
 
   // Installs a ProgramArtifact into `cache` for every stored snapshot of
   // task `task_id` (a DAG's CanonicalHash()). Each artifact is complete, so a

@@ -264,6 +264,54 @@ TEST(Gbdt, TrainingIsBitExactGolden) {
   EXPECT_EQ(random.programs_predicted(), 91);
 }
 
+// Fixed training set where most rows repeat: every row is one of 48
+// templates, drawn with replacement, so rows repeat within a program and
+// across programs, and every tenth program copies an earlier one's rows
+// under another label. Column 0 has 48 distinct values (quantile edges),
+// columns 1-3 a few each (midpoint edges), column 4 is constant.
+GbdtDataset MakeDuplicateRowsDataset() {
+  Rng rng(77);
+  std::vector<std::vector<float>> templates;
+  for (int t = 0; t < 48; ++t) {
+    float coarse = std::floor(static_cast<float>(rng.Uniform()) * 4.0f);
+    templates.push_back({static_cast<float>(t) * 0.25f, static_cast<float>(t % 5),
+                         t % 3 == 0 ? 1.0f : 0.0f, coarse, 2.0f});
+  }
+  GbdtDataset data;
+  std::vector<FeatureMatrix> programs;
+  for (int p = 0; p < 160; ++p) {
+    FeatureMatrix program;
+    if (p % 10 == 9) {
+      program = programs[rng.Index(programs.size())];
+    } else {
+      int n_rows = 1 + static_cast<int>(rng.Index(5));
+      for (int r = 0; r < n_rows; ++r) {
+        program.AppendRow(templates[rng.Index(templates.size())]);
+      }
+    }
+    double label = 0.0;
+    for (size_t r = 0; r < program.rows(); ++r) {
+      label += 0.02 * program.at(r, 0) + 0.1 * program.at(r, 2) - 0.05 * program.at(r, 3);
+    }
+    data.AddProgram(program);
+    data.SetTarget(p, label / static_cast<double>(program.rows()) + 0.2 * rng.Uniform(),
+                   0.1 + rng.Uniform());
+    programs.push_back(std::move(program));
+  }
+  return data;
+}
+
+TEST(Gbdt, DuplicateRowsTrainBitExactGolden) {
+  // Pins the trees of a dataset made mostly of repeated rows, computed
+  // before training grouped equal rows: growing trees over distinct rows
+  // must not change a bit of them.
+  GbdtDataset data = MakeDuplicateRowsDataset();
+  Gbdt model;
+  model.Train(data);
+  EXPECT_EQ(HashOf(EncodedBytes(model)), 0x2a9e588febf98e61ULL);
+  EXPECT_GT(model.trees().size(), 1u);
+}
+
 TEST(Gbdt, DuplicateColumnsNeverChangeTrees) {
   // A later column whose binned values equal an earlier column's (an exact
   // copy, or an exact x2 copy) can never win a split: training with it
@@ -597,6 +645,121 @@ TEST(GbdtCostModel, IncrementalUpdatesMatchOneShotTraining) {
   }
   one_shot.Update(/*task_id=*/1, all, all_throughputs);
   EXPECT_EQ(EncodedBytes(one_shot.gbdt()), expected);
+}
+
+// `n_updates` small batches over two tasks whose rows repeat within and
+// across programs. Every batch's first program runs at 4e9, the best of any
+// task, so a program's label is the same in every Update that holds it;
+// that program holds every one of the batch's four row templates. Column 0
+// gains three distinct values per batch, so its edges move every time and
+// turn from midpoints into quantile edges once it has more than max_bins
+// values; column 1 holds {0, 1, 2} from the first batch on, so its edges
+// never move; column 2 mixes -0.0, +0.0 and 0.5; column 3 is constant.
+struct UpdateBatches {
+  std::vector<std::vector<FeatureMatrix>> programs;
+  std::vector<std::vector<double>> throughputs;
+  std::vector<uint64_t> tasks;
+};
+
+UpdateBatches MakeUpdateBatches(int n_updates, uint64_t seed) {
+  Rng rng(seed);
+  UpdateBatches batches;
+  for (int u = 0; u < n_updates; ++u) {
+    std::vector<std::vector<float>> templates;
+    for (int t = 0; t < 4; ++t) {
+      float zero = rng.Uniform() < 0.5 ? -0.0f : 0.0f;
+      templates.push_back({static_cast<float>(3 * u + t % 3), static_cast<float>(t % 3),
+                           rng.Uniform() < 0.5 ? zero : 0.5f, 7.0f,
+                           std::floor(static_cast<float>(rng.Uniform()) * 8.0f)});
+    }
+    std::vector<FeatureMatrix> programs;
+    std::vector<double> throughputs;
+    for (int i = 0; i < 5; ++i) {
+      FeatureMatrix m;
+      if (i == 0) {
+        m = FeatureMatrix::FromRows(templates);
+      }
+      for (int r = 0; r < 1 + i % 3; ++r) {
+        m.AppendRow(templates[rng.Index(templates.size())]);
+      }
+      double speed = 1e9 * (1.0 + m.at(0, 1) - m.at(0, 2)) + 1e8 * m.at(0, 4);
+      throughputs.push_back(i == 0 ? 4e9 : speed);
+      programs.push_back(std::move(m));
+    }
+    // A program measured again, in this batch and in a later one.
+    programs.push_back(programs[1]);
+    throughputs.push_back(throughputs[1] * 0.9);
+    batches.programs.push_back(std::move(programs));
+    batches.throughputs.push_back(std::move(throughputs));
+    batches.tasks.push_back(u % 3 == 2 ? 2 : 1);
+  }
+  return batches;
+}
+
+TEST(GbdtCostModel, ManySmallUpdatesMatchOneShotTrainingAfterEach) {
+  // The model keeps its binned columns between Updates and re-bins only the
+  // features whose edges moved: after every one of 24 Updates its trees must
+  // equal, bit for bit, those of a fresh model trained once on the union.
+  UpdateBatches batches = MakeUpdateBatches(24, 8);
+  GbdtCostModel incremental;
+  std::vector<FeatureMatrix> all;
+  std::vector<double> all_throughputs;
+  for (size_t u = 0; u < batches.programs.size(); ++u) {
+    incremental.Update(batches.tasks[u], batches.programs[u], batches.throughputs[u]);
+    all.insert(all.end(), batches.programs[u].begin(), batches.programs[u].end());
+    all_throughputs.insert(all_throughputs.end(), batches.throughputs[u].begin(),
+                           batches.throughputs[u].end());
+    GbdtCostModel one_shot;
+    one_shot.Update(/*task_id=*/1, all, all_throughputs);
+    ASSERT_EQ(EncodedBytes(incremental.gbdt()), EncodedBytes(one_shot.gbdt())) << "update " << u;
+  }
+  EXPECT_GT(incremental.gbdt().trees().size(), 1u);
+  EXPECT_EQ(incremental.num_samples(), all.size());
+}
+
+TEST(CostModelTest, ConcurrentModelsTrainIndependently) {
+  // Each model owns its training data and binning cache: two models updated
+  // at the same time on two threads, or in turns on one thread, train the
+  // same trees as when updated one after the other (run under tsan in CI).
+  std::vector<UpdateBatches> batches = {MakeUpdateBatches(12, 1), MakeUpdateBatches(12, 2)};
+  auto update = [&batches](size_t m, size_t u, GbdtCostModel* model) {
+    const UpdateBatches& b = batches[m];
+    model->Update(b.tasks[u], b.programs[u], b.throughputs[u]);
+  };
+  auto train = [&update, &batches](size_t m, GbdtCostModel* model) {
+    for (size_t u = 0; u < batches[m].programs.size(); ++u) {
+      update(m, u, model);
+    }
+  };
+  std::vector<std::string> serial;
+  for (size_t m = 0; m < 2; ++m) {
+    GbdtCostModel model;
+    train(m, &model);
+    serial.push_back(EncodedBytes(model.gbdt()));
+  }
+  ASSERT_NE(serial[0], serial[1]);
+
+  GbdtCostModel in_turns[2];
+  for (size_t u = 0; u < 12; ++u) {
+    for (size_t m = 0; m < 2; ++m) {
+      update(m, u, &in_turns[m]);
+    }
+  }
+  for (size_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(EncodedBytes(in_turns[m].gbdt()), serial[m]) << "model " << m << " in turns";
+  }
+
+  GbdtCostModel models[2];
+  std::vector<std::thread> threads;
+  for (size_t m = 0; m < 2; ++m) {
+    threads.emplace_back(train, m, &models[m]);
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (size_t m = 0; m < 2; ++m) {
+    EXPECT_EQ(EncodedBytes(models[m].gbdt()), serial[m]) << "model " << m;
+  }
 }
 
 TEST(Metrics, PairwiseAccuracy) {

@@ -193,7 +193,7 @@ TEST_P(ArtifactFuzz, MutatedSnapshotsNeverAbort) {
         for (size_t c = 0; c < len; ++c) {
           bytes += static_cast<char>(rng.Int(0, 255));
         }
-        bytes = "ANSRART2" + bytes;
+        bytes = "ANSRART3" + bytes;
         break;
       }
     }

@@ -54,7 +54,7 @@ TEST(ArtifactStoreTest, CaptureSerializeLoadRoundTrip) {
     cache.GetOrBuild(s);
   }
   ArtifactStore store;
-  EXPECT_EQ(store.CaptureCache(cache, "mm"), 3u);
+  EXPECT_EQ(store.CaptureCache(cache), 3u);
   EXPECT_EQ(store.stats().added, 3);
 
   ArtifactStore loaded;
@@ -63,8 +63,9 @@ TEST(ArtifactStoreTest, CaptureSerializeLoadRoundTrip) {
   EXPECT_EQ(stats.loaded, 3u);
   EXPECT_EQ(stats.skipped, 0u);
   ASSERT_EQ(loaded.size(), 3u);
-  // Every field of every snapshot survives: tag, flags, steps, bit-exact
-  // features and resource verdicts re-encode to the same bytes, in order.
+  // Every field of every snapshot survives: steps, bit-exact features,
+  // verifier reports and resource verdicts re-encode to the same bytes, in
+  // order.
   EXPECT_EQ(loaded.Serialize(), store.Serialize());
 }
 
@@ -75,8 +76,8 @@ TEST(ArtifactStoreTest, DedupByTaskAndSignature) {
     cache.GetOrBuild(s);
   }
   ArtifactStore store;
-  EXPECT_EQ(store.CaptureCache(cache, "a"), 3u);
-  EXPECT_EQ(store.CaptureCache(cache, "b"), 0u);  // same programs: all duplicates
+  EXPECT_EQ(store.CaptureCache(cache), 3u);
+  EXPECT_EQ(store.CaptureCache(cache), 0u);  // same programs: all duplicates
   EXPECT_EQ(store.stats().added, 3);
   EXPECT_EQ(store.stats().deduplicated, 3);
 }
@@ -89,7 +90,7 @@ TEST(ArtifactStoreTest, WarmCacheServesEverythingWithoutRebuilds) {
     cold.GetOrBuild(s);
   }
   ArtifactStore store;
-  store.CaptureCache(cold, "");
+  store.CaptureCache(cold);
 
   ProgramCache warm(64, 1);
   EXPECT_EQ(store.WarmCache(&warm, dag->CanonicalHash()), 3u);
@@ -118,7 +119,7 @@ TEST(ArtifactStoreTest, WarmArtifactMatchesColdBuild) {
     cold_cache.GetOrBuild(s);
   }
   ArtifactStore store;
-  store.CaptureCache(cold_cache, "");
+  store.CaptureCache(cold_cache);
   ArtifactStore restored;
   ASSERT_TRUE(restored.Deserialize(store.Serialize()));
   ProgramCache warm_cache(8, 1);
@@ -226,14 +227,14 @@ TEST(ArtifactStoreTest, ResourceVerdictsMatchVerifyResourcesOnLowerGoldenCorpus)
     cold_cache.GetOrBuild(s);
   }
   ArtifactStore before;
-  before.CaptureCache(cold_cache, "");
+  before.CaptureCache(cold_cache);
   for (const State& s : programs) {
     for (const MachineModel& machine : machines) {
       cold_cache.GetOrBuild(s)->resource_verdict(machine);
     }
   }
   ArtifactStore after;
-  after.CaptureCache(cold_cache, "");
+  after.CaptureCache(cold_cache);
   ProgramCache warm_before(1024, 1);
   ProgramCache warm_after(1024, 1);
   for (const auto& dag : dags) {
@@ -296,7 +297,7 @@ TEST(ArtifactStoreTest, ConcurrentLegalityReadsOnSharedColdAndWarmArtifacts) {
     shared.push_back(cold_cache.GetOrBuild(s));
   }
   ArtifactStore store;
-  store.CaptureCache(cold_cache, "");
+  store.CaptureCache(cold_cache);
   ProgramCache warm_cache(64, 1);
   ASSERT_EQ(store.WarmCache(&warm_cache, dag->CanonicalHash()), programs.size());
   for (const State& s : programs) {
@@ -350,7 +351,7 @@ TEST(ArtifactStoreTest, FileRoundTripAndMissingFile) {
     cache.GetOrBuild(s);
   }
   ArtifactStore store;
-  store.CaptureCache(cache, "t");
+  store.CaptureCache(cache);
   std::string path = ::testing::TempDir() + "/ansor_artifacts_test.bin";
   ASSERT_TRUE(store.SaveToFile(path));
   ArtifactStore loaded;
@@ -369,12 +370,12 @@ TEST(ArtifactStoreTest, InterruptedSaveAtEveryByteKeepsOldState) {
   ProgramCache cache(64, 1);
   cache.GetOrBuild(programs[0]);
   ArtifactStore old_store;
-  old_store.CaptureCache(cache, "t");
+  old_store.CaptureCache(cache);
   for (const State& s : programs) {
     cache.GetOrBuild(s);
   }
   ArtifactStore new_store;
-  new_store.CaptureCache(cache, "t");
+  new_store.CaptureCache(cache);
   std::string path = ::testing::TempDir() + "/ansor_interrupted_artifacts.bin";
   ASSERT_TRUE(old_store.SaveToFile(path));
 
@@ -398,7 +399,7 @@ TEST(ArtifactStoreTest, CorruptionNeverCrashes) {
     cache.GetOrBuild(s);
   }
   ArtifactStore store;
-  store.CaptureCache(cache, "");
+  store.CaptureCache(cache);
   std::string bytes = store.Serialize();
 
   for (size_t cut = 0; cut < bytes.size(); cut += 5) {
@@ -418,17 +419,15 @@ TEST(ArtifactStoreTest, CorruptionNeverCrashes) {
 }
 
 TEST(ArtifactStoreTest, CraftedHugeStepCountFailsCleanly) {
-  // One snapshot body claiming 2^28 steps in a 27-byte container: the count
+  // One snapshot body claiming 2^28 steps in a 24-byte container: the count
   // exceeds the bytes left, so the body is skipped before its step list is
   // sized, instead of aborting the process that warm-starts from it.
   ByteWriter body;
   body.PutU64(1);            // task id
-  body.PutVarint(0);         // tag: string 0
   body.PutVarint(1u << 28);  // step count
   ByteWriter w;
-  w.PutRaw("ANSRART2", 8);
-  w.PutVarint(1);
-  w.PutString("t");
+  w.PutRaw("ANSRART3", 8);
+  w.PutVarint(0);  // no strings
   w.PutVarint(1);  // one snapshot
   w.PutVarint(body.size());
   w.PutRaw(body.buffer().data(), body.size());
@@ -440,12 +439,12 @@ TEST(ArtifactStoreTest, CraftedHugeStepCountFailsCleanly) {
   EXPECT_EQ(store.size(), 0u);
 }
 
-// A container holding one snapshot body: task 1, tag "t", no steps, an empty
-// feature matrix, then `tail` (the verifier report and resource summary).
+// A container whose string table holds "t" and one snapshot body: task 1,
+// no steps, an empty feature matrix, then `tail` (the verifier report and
+// resource summary).
 std::string OneSnapshotContainer(const std::string& magic, const ByteWriter& tail) {
   ByteWriter body;
   body.PutU64(1);     // task id
-  body.PutVarint(0);  // tag: string 0
   body.PutVarint(0);  // step count
   body.PutVarint(0);  // feature dim
   body.PutVarint(0);  // feature rows
@@ -464,7 +463,9 @@ std::string OneSnapshotContainer(const std::string& magic, const ByteWriter& tai
 // summary is checked before it is trusted: a verdict byte of 3, an annotation
 // past kVThread, and a diagnostic or loop count above the bytes left each
 // skip the snapshot. The well-formed control shows the layout the bad cases
-// perturb. A pre-report ANSRART1 payload is refused as a whole.
+// perturb. A payload of an earlier format is refused as a whole: ANSRART1
+// held pass/fail bits in place of the report, and ANSRART2 a cache tag per
+// snapshot.
 TEST(ArtifactStoreTest, CraftedReportAndSummaryFieldsFailCleanly) {
   // `verdict0`/`diagnostics0` fill the first check; the other four pass.
   auto tail = [](uint8_t verdict0, uint64_t diagnostics0, uint8_t annotation,
@@ -496,7 +497,7 @@ TEST(ArtifactStoreTest, CraftedReportAndSummaryFieldsFailCleanly) {
 
   ArtifactStore control;
   ArtifactLoadStats loaded =
-      control.Deserialize(OneSnapshotContainer("ANSRART2", tail(fail, 1, vectorize, 1)));
+      control.Deserialize(OneSnapshotContainer("ANSRART3", tail(fail, 1, vectorize, 1)));
   ASSERT_TRUE(loaded.ok);
   ASSERT_EQ(loaded.loaded, 1u);
   ProgramCache cache(8, 1);
@@ -518,19 +519,21 @@ TEST(ArtifactStoreTest, CraftedReportAndSummaryFieldsFailCleanly) {
   };
   for (const auto& [name, bad] : crafted) {
     ArtifactStore store;
-    ArtifactLoadStats stats = store.Deserialize(OneSnapshotContainer("ANSRART2", bad));
+    ArtifactLoadStats stats = store.Deserialize(OneSnapshotContainer("ANSRART3", bad));
     EXPECT_TRUE(stats.ok) << name;
     EXPECT_EQ(stats.loaded, 0u) << name;
     EXPECT_EQ(stats.skipped, 1u) << name;
     EXPECT_EQ(store.size(), 0u) << name;
   }
 
-  ArtifactStore old_format;
-  ArtifactLoadStats old_stats =
-      old_format.Deserialize(OneSnapshotContainer("ANSRART1", tail(pass, 0, vectorize, 1)));
-  EXPECT_FALSE(old_stats.ok);
-  EXPECT_EQ(old_stats.loaded, 0u);
-  EXPECT_EQ(old_format.size(), 0u);
+  for (const char* old_magic : {"ANSRART1", "ANSRART2"}) {
+    ArtifactStore old_format;
+    ArtifactLoadStats old_stats =
+        old_format.Deserialize(OneSnapshotContainer(old_magic, tail(pass, 0, vectorize, 1)));
+    EXPECT_FALSE(old_stats.ok) << old_magic;
+    EXPECT_EQ(old_stats.loaded, 0u) << old_magic;
+    EXPECT_EQ(old_format.size(), 0u) << old_magic;
+  }
 }
 
 // The warm-start determinism matrix: a search resumed from a snapshot of an
@@ -550,7 +553,7 @@ TEST(WarmStartDeterminism, ResumedRunIsBitIdenticalWithZeroRebuilds) {
   ASSERT_TRUE(cold.best_state.has_value());
 
   ArtifactStore store;
-  store.CaptureCache(cold_cache, "");
+  store.CaptureCache(cold_cache);
   ASSERT_GT(store.size(), 0u);
 
   // Round trip through bytes: the resumed process only has the file.
